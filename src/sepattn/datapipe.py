@@ -363,7 +363,15 @@ def load_manifest(root) -> DatasetManifest:
     mpath = root / MANIFEST_NAME
     if not mpath.is_file():
         raise LayoutError(f"no {MANIFEST_NAME} under {root}")
-    doc = json.loads(mpath.read_text())
+    try:
+        doc = json.loads(mpath.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise LayoutError(f"{mpath}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise LayoutError(f"{mpath}: top level must be a JSON object")
+    for key, kind in (("layout", str), ("splits", dict), ("files", dict)):
+        if not isinstance(doc.get(key), kind):
+            raise LayoutError(f"{mpath}: required key {key!r} is missing or not a {kind.__name__}")
     return DatasetManifest(
         root=str(root),
         layout=doc["layout"],

@@ -6,6 +6,11 @@ closure onto the output. Convolutions are realized as im2col + matmul;
 transposed convolution is the exact adjoint (it reuses the col2im scatter that
 conv2d's input gradient uses, so <conv2d(x,w), y> == <x, conv_transpose2d(y,w)>
 holds to rounding). Reductions accumulate in float64 and store float32.
+
+Backward closures compute a gradient only for operands that are tracked
+(``requires_grad`` set, or produced by another tracked op); an untracked
+operand, such as a frozen weight or a constant mask, gets ``None`` and costs
+nothing.
 """
 from __future__ import annotations
 
@@ -37,10 +42,15 @@ __all__ = [
 ]
 
 
+def _live(t: Optional[Tensor4]) -> bool:
+    """Whether a gradient for ``t`` is needed by the backward sweep."""
+    return t is not None and (t.requires_grad or t._grad_fn is not None)
+
+
 def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor4:
     """Wrap a forward result; attach graph edges only if some parent is live."""
     out = Tensor4(data)
-    if any(p is not None and (p.requires_grad or p._grad_fn is not None) for p in parents):
+    if any(_live(p) for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._grad_fn = grad_fn
@@ -53,6 +63,16 @@ def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor4:
 
 def _conv_out_dim(size: int, k: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - k) // stride + 1
+
+
+def _pad(a: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the two spatial axes (same values as ``np.pad``, a fraction of its cost)."""
+    if not padding:
+        return a
+    n, c, h, w = a.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=a.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = a
+    return out
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -127,8 +147,7 @@ def conv2d(
             f"conv2d: output would be {oh}x{ow} (input {h}x{w}, kernel {kh}x{kw}, "
             f"stride {stride}, padding {padding}); spatial dims must stay >= 1"
         )
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, oh, ow)  # (N, K, L)
+    cols = _im2col(_pad(x.data, padding), kh, kw, stride, oh, ow)  # (N, K, L)
     w_mat = weight.data.reshape(cout, -1)  # (Cout, K)
     out = np.matmul(w_mat, cols).reshape(n, cout, oh, ow)
     if bias is not None:
@@ -136,13 +155,13 @@ def conv2d(
 
     def grad_fn(g: np.ndarray):
         g_mat = g.reshape(n, cout, oh * ow)
-        grad_x = None
-        if x.requires_grad or x._grad_fn is not None:
+        grad_x = grad_w = grad_b = None
+        if _live(x):
             gcols = np.matmul(w_mat.T, g_mat)  # (N, K, L)
             grad_x = _col2im(gcols, n, cin, h, w, kh, kw, stride, padding, oh, ow)
-        grad_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        grad_b = None
-        if bias is not None:
+        if _live(weight):
+            grad_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        if _live(bias):
             grad_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1).astype(DTYPE)
         return (grad_x, grad_w, grad_b) if bias is not None else (grad_x, grad_w)
 
@@ -180,12 +199,12 @@ def conv_transpose2d(y: Tensor4, weight: Tensor4, stride: int = 1, padding: int 
     out = _col2im(cols, n, cin, h, w, kh, kw, stride, padding, hy, wy)
 
     def grad_fn(g: np.ndarray):
-        gp = np.pad(g, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else g
-        gcols = _im2col(gp, kh, kw, stride, hy, wy)  # (N, K, L)
-        grad_y = None
-        if y.requires_grad or y._grad_fn is not None:
+        gcols = _im2col(_pad(g, padding), kh, kw, stride, hy, wy)  # (N, K, L)
+        grad_y = grad_w = None
+        if _live(y):
             grad_y = np.matmul(w_mat, gcols).reshape(n, cout, hy, wy)
-        grad_w = np.matmul(y_mat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        if _live(weight):
+            grad_w = np.matmul(y_mat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         return grad_y, grad_w
 
     return _make(out.astype(DTYPE, copy=False), (y, weight), grad_fn)
@@ -275,10 +294,13 @@ def batch_norm(
     out = gamma.data * xhat + beta.data
 
     def grad_fn(g: np.ndarray):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE).reshape(1, c, 1, 1)
-        dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE).reshape(1, c, 1, 1)
-        grad_x = None
-        if x.requires_grad or x._grad_fn is not None:
+        grad_x = dgamma = dbeta = None
+        if _live(gamma):
+            dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64)
+            dgamma = dgamma.astype(DTYPE).reshape(1, c, 1, 1)
+        if _live(beta):
+            dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE).reshape(1, c, 1, 1)
+        if _live(x):
             dxhat = g * gamma.data
             if training:
                 s1 = dxhat.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE).reshape(1, c, 1, 1)
@@ -303,11 +325,16 @@ def batch_norm(
 def leaky_relu(x: Tensor4, slope: float = 0.2) -> Tensor4:
     if not (0.0 < slope < 1.0):
         raise ValueError(f"leaky_relu: slope must lie in (0, 1), got {slope}")
-    keep = x.data >= 0
-    out = np.where(keep, x.data, slope * x.data)
+    # max(x, slope*x) picks x for x >= 0 and slope*x below: for 0 < slope < 1 it
+    # equals the masked select bit for bit (+-0, +-inf and NaN included)
+    out = np.maximum(x.data, slope * x.data)
 
     def grad_fn(g: np.ndarray):
-        return (np.where(keep, g, np.float32(slope) * g),)
+        # factor is exactly 1.0 where x >= 0 and float32(slope) elsewhere
+        factor = (x.data >= 0).astype(DTYPE)
+        np.maximum(factor, np.float32(slope), out=factor)
+        factor *= g
+        return (factor,)
 
     return _make(out.astype(DTYPE, copy=False), (x,), grad_fn)
 
@@ -333,13 +360,17 @@ def add(a: Tensor4, b: Tensor4) -> Tensor4:
 
 def sub(a: Tensor4, b: Tensor4) -> Tensor4:
     _check_same_shape("sub", a, b)
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g if _live(b) else None))
 
 
 def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     """Elementwise (Hadamard) product; shapes must match exactly."""
     _check_same_shape("mul", a, b)
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+
+    def grad_fn(g: np.ndarray):
+        return (g * b.data if _live(a) else None, g * a.data if _live(b) else None)
+
+    return _make(a.data * b.data, (a, b), grad_fn)
 
 
 def scale(a: Tensor4, c: float) -> Tensor4:

@@ -43,7 +43,8 @@ class Tensor4:
 
     Ops never mutate operand data. When ``requires_grad`` is set on any operand
     of an op, the op output carries ``_parents`` and ``_grad_fn`` so that
-    :func:`sepattn.diffcore.ops.backward` can run the reverse sweep.
+    :func:`sepattn.diffcore.ops.backward` can run the reverse sweep. Only
+    leaves (tensors made directly, not by an op) ever receive ``.grad``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
@@ -153,9 +154,10 @@ def topo_order(root: Tensor4) -> list:
 def backward(loss: Tensor4) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates ``.grad`` on every reachable tensor with ``requires_grad`` set,
+    Populates ``.grad`` on every reachable leaf with ``requires_grad`` set,
     accumulating additively so that several backward calls (or several uses of
-    one tensor) sum their contributions.
+    one tensor) sum their contributions. Intermediate op outputs pass their
+    gradient on to their parents and keep no ``.grad``.
     """
     if loss.shape != SCALAR_SHAPE:
         raise GraphError(
@@ -166,9 +168,9 @@ def backward(loss: Tensor4) -> None:
         g = flow.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.accumulate_grad(g)
         if node._grad_fn is None:
+            if node.requires_grad:
+                node.accumulate_grad(g)
             continue
         parent_grads = node._grad_fn(g)
         if len(parent_grads) != len(node._parents):

@@ -270,18 +270,26 @@ def generator_phase(
 ) -> LossReport:
     """Minimize the attention objective over both generators; one Adam step each.
 
-    Discriminator scoring participates in the graph, so discriminator grads
-    are zeroed afterwards — they belong to the next phase.
+    The discriminators score the fakes inside the graph but are frozen for
+    the phase (``requires_grad`` cleared on their parameters, restored on exit
+    even if the phase raises): the backward pass flows through them to the
+    generators and leaves every discriminator ``.grad`` untouched.
     """
-    total, report = full_generator_loss(
-        x, y, depth, models, config.weights, config.gan_kind, training=True
-    )
-    _check_finite(report.to_dict(), epoch, step)
-    backward(total)
+    frozen = [p.tensor for n in _discriminator_names(models) for p in models[n].params.values()]
+    was_tracked = [t.requires_grad for t in frozen]
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        total, report = full_generator_loss(
+            x, y, depth, models, config.weights, config.gan_kind, training=True
+        )
+        _check_finite(report.to_dict(), epoch, step)
+        backward(total)
+    finally:
+        for t, tracked in zip(frozen, was_tracked):
+            t.requires_grad = tracked
     for name in _generator_names(models):
         adam_step(models[name].trainable_parameters(), optims[name])
-    for name in _discriminator_names(models):
-        models[name].zero_grads()
     return report
 
 
@@ -466,6 +474,10 @@ def load_checkpoint(path) -> CheckpointBundle:
         state = json.loads(r.block("state JSON"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt state JSON: {exc}") from exc
+    if r.pos != len(r.buf):
+        raise CheckpointError(
+            f"{path}: {len(r.buf) - r.pos} unexpected trailing bytes after the state block"
+        )
     return CheckpointBundle(version=version, config=config, tensors=tensors, state=state)
 
 
@@ -518,6 +530,23 @@ def _load_train_pairs(manifest: DatasetManifest, config: TrainConfig) -> List[Pa
     return pairs
 
 
+def _truncate_log(log_path: Path, global_step: int) -> None:
+    """Keep the header and the complete rows up to ``global_step``.
+
+    Rows past the checkpoint being resumed from were logged by a run that went
+    on after it; the resumed run logs those steps again.
+    """
+    lines = log_path.read_text().splitlines(keepends=True)
+    keep = lines[:1]
+    for line in lines[1:]:
+        cells = line.split(",")
+        complete = line.endswith("\n") and len(cells) > 2 and cells[1].isdigit()
+        if not complete or int(cells[1]) > global_step:
+            break
+        keep.append(line)
+    log_path.write_text("".join(keep))
+
+
 def train(
     manifest: DatasetManifest,
     config: TrainConfig,
@@ -527,9 +556,9 @@ def train(
     """Run the full schedule; returns (final bundle, log path).
 
     Fresh runs write the CSV header and an initial checkpoint; resumed runs
-    append to the existing log starting at the saved step counter. Shuffling
-    is derived from (seed, epoch), so resuming at an epoch boundary sees the
-    identical batch order the uninterrupted run would have.
+    cut the existing log back to the checkpoint's step counter and append from
+    there. Shuffling is derived from (seed, epoch), so resuming at an epoch
+    boundary sees the identical batch order the uninterrupted run would have.
     """
     config.validate()
     out_dir = Path(out_dir)
@@ -551,7 +580,9 @@ def train(
         restore_into(bundle, models, optims)
         start_epoch = int(bundle.state["next_epoch"])
         global_step = int(bundle.state["global_step"])
-        if not log_path.is_file():
+        if log_path.is_file():
+            _truncate_log(log_path, global_step)
+        else:
             log_path.write_text(LOG_HEADER + "\n")
     else:
         log_path.write_text(LOG_HEADER + "\n")

@@ -211,6 +211,16 @@ class TestEval:
                        "--metrics", "vibes") == 2
         assert "vibes" in capsys.readouterr().err
 
+    def test_manifest_without_splits_is_runtime_error(self, dataset, tmp_path, capsys):
+        broken = tmp_path / "d"
+        broken.mkdir()
+        doc = json.loads((dataset / "manifest.json").read_text())
+        del doc["splits"]
+        (broken / "manifest.json").write_text(json.dumps(doc))
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(broken)) == 1
+        err = capsys.readouterr().err
+        assert "splits" in err and "Traceback" not in err
+
     def test_unknown_split_is_usage_error(self, dataset):
         assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),
                        "--split", "holdout") == 2

@@ -1,4 +1,5 @@
 """I/O round-trips, degradation model math, and dataset generation."""
+import json
 import math
 
 import numpy as np
@@ -279,6 +280,30 @@ class TestSyntheticDataset:
         assert back.image_size == 16
         assert back.params["beta"] == [1.8, 0.9, 0.4]
         back.validate()
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda doc: doc.pop("splits"), "'splits' is missing"),
+            (lambda doc: doc.pop("files"), "'files' is missing"),
+            (lambda doc: doc.update(splits=["train"]), "'splits' is missing or not a dict"),
+            (lambda doc: doc.update(layout=3), "'layout' is missing or not a str"),
+        ],
+    )
+    def test_malformed_manifest_is_layout_error(self, tmp_path, edit, match):
+        generate_synthetic_dataset(2, 16, DegradeParams(), seed=1, out_root=tmp_path)
+        mpath = tmp_path / "manifest.json"
+        doc = json.loads(mpath.read_text())
+        edit(doc)
+        mpath.write_text(json.dumps(doc))
+        with pytest.raises(LayoutError, match=match):
+            load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_non_object_manifest_is_layout_error(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(LayoutError, match="manifest.json"):
+            load_manifest(tmp_path)
 
     def test_validate_catches_missing_file(self, tmp_path):
         man = generate_synthetic_dataset(3, 16, DegradeParams(), seed=1, out_root=tmp_path)

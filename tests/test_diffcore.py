@@ -317,6 +317,130 @@ class TestReductions:
 
 
 # ---------------------------------------------------------------------------
+# fast paths that must stay bit-identical to the straightforward forms
+
+
+def ref_leaky_relu(x, slope):
+    """Masked-select reference: x where x >= 0, slope * x elsewhere."""
+    return np.where(x >= 0, x, slope * x)
+
+
+def ref_leaky_relu_grad(x, g, slope):
+    return np.where(x >= 0, g, np.float32(slope) * g)
+
+
+def ref_pad(a, padding):
+    return np.pad(a, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def awkward(rng, shape):
+    """Random float32 values salted with exact zeros, -0.0, NaN, +-inf and tiny negatives."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    flat = a.reshape(-1)
+    specials = np.array(
+        [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, -1e-45, -1e-40, -1e-38, 1e-45],
+        np.float32,
+    )
+    idx = rng.choice(flat.size, size=4 * specials.size, replace=False)
+    flat[idx] = np.tile(specials, 4)
+    return a
+
+
+def conv2d_with_np_pad(x, w, b, stride, padding):
+    """conv2d's forward with the padding done by ``np.pad``."""
+    n, _, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    cols = ops._im2col(ref_pad(x, padding), kh, kw, stride, oh, ow)
+    out = np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, oh, ow)
+    return out + b if b is not None else out
+
+
+class TestBitExactFastPaths:
+    @pytest.mark.parametrize("slope", [0.2, 0.01, 0.5, 0.999])
+    def test_leaky_relu_matches_masked_select_bytewise(self, slope):
+        rng = np.random.default_rng(11)
+        x = awkward(rng, (3, 4, 9, 7))
+        g = awkward(rng, x.shape)
+        out = ops.leaky_relu(t4(x, requires_grad=True), slope)
+        assert out.data.tobytes() == ref_leaky_relu(x, slope).tobytes()
+        (grad,) = out._grad_fn(g)
+        assert grad.dtype == np.float32
+        assert grad.tobytes() == ref_leaky_relu_grad(x, g, slope).tobytes()
+
+    @pytest.mark.parametrize("padding", [1, 2])
+    def test_pad_matches_np_pad_bytewise(self, padding):
+        a = awkward(np.random.default_rng(12), (2, 3, 5, 6))
+        assert ops._pad(a, padding).tobytes() == ref_pad(a, padding).tobytes()
+        assert ops._pad(a, 0) is a
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (2, 2)])
+    def test_padded_convolutions_match_np_pad_bytewise(self, stride, padding):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 4, 4)).astype(np.float32)
+        b = rng.standard_normal((1, 4, 1, 1)).astype(np.float32)
+        out = ops.conv2d(t4(x), t4(w), t4(b), stride, padding)
+        assert out.data.tobytes() == conv2d_with_np_pad(x, w, b, stride, padding).tobytes()
+
+        # conv_transpose2d pads the incoming gradient in its backward
+        yt = t4(rng.standard_normal(out.shape), requires_grad=True)
+        wt = t4(w, requires_grad=True)
+        up = ops.conv_transpose2d(yt, wt, stride, padding)
+        g = rng.standard_normal(up.shape).astype(np.float32)
+        grad_y, grad_w = up._grad_fn(g)
+        gcols = ops._im2col(ref_pad(g, padding), 4, 4, stride, *out.shape[2:])
+        want_y = np.matmul(w.reshape(4, -1), gcols).reshape(out.shape)
+        want_w = np.matmul(yt.data.reshape(2, 4, -1), gcols.transpose(0, 2, 1)).sum(axis=0)
+        assert grad_y.tobytes() == want_y.tobytes()
+        assert grad_w.tobytes() == want_w.reshape(w.shape).tobytes()
+
+    @pytest.mark.parametrize("frozen", ["weight", "bias", "both"])
+    def test_conv2d_skips_gradients_of_untracked_operands(self, frozen):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 3, 6, 6))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal((1, 4, 1, 1))
+        g = rng.standard_normal((2, 4, 6, 6)).astype(np.float32)
+        full = ops.conv2d(t4(x, True), t4(w, True), t4(b, True), 1, 1)._grad_fn(g)
+        part = ops.conv2d(
+            t4(x, True), t4(w, frozen == "bias"), t4(b, frozen == "weight"), 1, 1
+        )._grad_fn(g)
+        assert part[0].tobytes() == full[0].tobytes()
+        for slot, name in ((1, "weight"), (2, "bias")):
+            if frozen in (name, "both"):
+                assert part[slot] is None
+            else:
+                assert part[slot].tobytes() == full[slot].tobytes()
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("frozen", ["gamma", "beta", "both"])
+    def test_batch_norm_skips_gradients_of_untracked_operands(self, frozen, training):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((2, 3, 4, 4))
+        gamma = rng.uniform(0.5, 1.5, (1, 3, 1, 1))
+        beta = rng.standard_normal((1, 3, 1, 1))
+        g = rng.standard_normal(x.shape).astype(np.float32)
+
+        def grads(gamma_tracked, beta_tracked):
+            out = ops.batch_norm(
+                t4(x, True), t4(gamma, gamma_tracked), t4(beta, beta_tracked),
+                dc.RunningStats.create(3), training, update_stats=False,
+            )
+            return out._grad_fn(g)
+
+        full = grads(True, True)
+        part = grads(frozen == "beta", frozen == "gamma")
+        assert part[0].tobytes() == full[0].tobytes()
+        for slot, name in ((1, "gamma"), (2, "beta")):
+            if frozen in (name, "both"):
+                assert part[slot] is None
+            else:
+                assert part[slot].tobytes() == full[slot].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # backward mechanics
 
 
@@ -352,6 +476,14 @@ class TestBackward:
         b = ops.scale(x, 5.0)
         dc.backward(ops.mul(a, b))  # d/dx 15x^2 = 30x = 60
         assert x.grad.reshape(-1)[0] == pytest.approx(60.0)
+
+    def test_only_leaves_receive_grad(self):
+        x = t4(np.full((1, 1, 1, 1), 2.0), requires_grad=True)
+        mid = ops.scale(x, 3.0)
+        loss = ops.mul(mid, mid)
+        dc.backward(loss)
+        assert x.grad.reshape(-1)[0] == pytest.approx(36.0)
+        assert mid.grad is None and loss.grad is None
 
     def test_detach_blocks_gradient(self):
         x = t4(np.full((1, 1, 1, 1), 2.0), requires_grad=True)

@@ -7,7 +7,8 @@ import pytest
 
 from sepattn import datapipe, trainer
 from sepattn.datapipe import DegradeParams, generate_synthetic_dataset, load_pair
-from sepattn.losses import GanLossKind
+from sepattn.diffcore import adam_step, backward
+from sepattn.losses import GanLossKind, full_generator_loss
 from sepattn.netarch import DiscriminatorConfig, GeneratorConfig
 from sepattn.trainer import (
     LOG_FIELDS,
@@ -198,6 +199,52 @@ class TestTrainStep:
         for n in ("gen_xy", "gen_yx"):
             assert all(p.tensor.grad is None for p in models[n].params.values())
 
+    def test_generator_phase_freezes_discriminators(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        x, y, depth = trainer._stack_batch(first_batch(tiny_dataset, cfg))
+
+        # reference: the same backward with every discriminator parameter tracked
+        ref_models = build_models(cfg)
+        total, _ = full_generator_loss(x, y, depth, ref_models, cfg.weights, cfg.gan_kind)
+        backward(total)
+        want = {
+            (n, pid): p.tensor.grad.copy()
+            for n in ("gen_xy", "gen_yx")
+            for pid, p in ref_models[n].params.items()
+        }
+        assert any(p.tensor.grad is not None for p in ref_models["disc_x"].params.values())
+
+        models = build_models(cfg)
+        optims = build_optimizers(models, cfg.lr)
+        owner = {id(st): n for n, st in optims.items()}
+        seen = {}
+
+        def recording_adam_step(params, state):
+            for p in params:
+                seen[owner[id(state)], p.id] = p.tensor.grad.copy()
+            return adam_step(params, state)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+        generator_phase(x, y, depth, models, optims, cfg)
+        assert seen.keys() == want.keys()
+        for key, g in want.items():
+            assert seen[key].tobytes() == g.tobytes(), key
+        for n in ("disc_x", "disc_y"):
+            for p in models[n].params.values():
+                assert p.tensor.grad is None
+                assert p.tensor.requires_grad
+
+    def test_generator_phase_unfreezes_discriminators_on_error(self, tiny_dataset):
+        cfg = tiny_config()
+        models = build_models(cfg)
+        optims = build_optimizers(models, cfg.lr)
+        next(iter(models["gen_xy"].params.values())).tensor.data[...] = np.nan
+        x, y, depth = trainer._stack_batch(first_batch(tiny_dataset, cfg))
+        with pytest.raises(FloatingPointError, match="non-finite loss term"):
+            generator_phase(x, y, depth, models, optims, cfg)
+        for n in ("disc_x", "disc_y"):
+            assert all(p.tensor.requires_grad for p in models[n].params.values())
+
     def test_two_runs_are_bitwise_identical(self, tiny_dataset):
         cfg = tiny_config()
         lines = []
@@ -303,6 +350,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(p)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        cfg, models, optims = self._live(steps=0)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
+        with p.open("ab") as f:
+            f.write(b"GARBAGE")
+        with pytest.raises(CheckpointError, match="7 unexpected trailing bytes"):
+            load_checkpoint(p)
+
     def test_architecture_mismatch_names_tensor(self, tmp_path):
         cfg, models, optims = self._live(steps=0)
         p = tmp_path / "c.satt"
@@ -387,6 +443,17 @@ class TestTrainLoop:
         assert strip_ms((tmp_path / "full" / "train_log.csv").read_text()) == strip_ms(
             (tmp_path / "parts" / "train_log.csv").read_text()
         )
+
+    def test_resume_from_older_checkpoint_rewrites_later_rows(self, tmp_path, tiny_dataset):
+        cfg = tiny_config(epochs=2, checkpoint_every=1)
+        _, log_path = train(tiny_dataset, cfg, tmp_path)
+        want_log = strip_ms(log_path.read_text())
+        want_final = (tmp_path / "ckpt_final.satt").read_bytes()
+        with log_path.open("a") as log:
+            log.write("2,99,0.5")  # a row cut short by a crash
+        train(tiny_dataset, cfg, tmp_path, resume_from=tmp_path / "ckpt_epoch_0001.satt")
+        assert strip_ms(log_path.read_text()) == want_log
+        assert (tmp_path / "ckpt_final.satt").read_bytes() == want_final
 
     def test_resume_rejects_changed_config(self, tmp_path, tiny_dataset):
         train(tiny_dataset, tiny_config(epochs=1), tmp_path)

@@ -4,11 +4,12 @@ A depth map assigns every pixel a value in [0, 1] — 1 meaning closest to the
 camera. An image I splits into a foreground I * D and a background I * (1 - D)
 (elementwise, broadcast across channels), so the two regions always sum back
 to the original image. The depth map is a constant of the computation: masking
-is differentiable with respect to the image only.
+is differentiable with respect to the image only. A depth value that is not
+finite or lies outside [0, 1] is rejected, never clipped.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from .diffcore import DTYPE, ShapeError, Tensor4, mul
 
 __all__ = [
     "DepthRangeError",
-    "depth_from_8bit",
     "validate_depth",
     "region_masks",
     "split",
@@ -27,30 +27,17 @@ class DepthRangeError(ValueError):
     """A depth value lies outside [0, 1]; the message names the coordinate."""
 
 
-def depth_from_8bit(raw: np.ndarray) -> np.ndarray:
-    """Map an 8-bit depth image to [0, 1] floats (255 -> 1.0)."""
-    arr = np.asarray(raw)
-    if arr.dtype != np.uint8:
-        raise TypeError(f"expected uint8 depth data, got dtype {arr.dtype}")
-    return (arr.astype(np.float64) / 255.0).astype(DTYPE)
-
-
-def validate_depth(values: np.ndarray, policy: str = "reject") -> np.ndarray:
+def validate_depth(values: np.ndarray) -> np.ndarray:
     """Return a float32 copy of ``values`` guaranteed to lie in [0, 1].
 
-    ``policy="reject"`` raises :class:`DepthRangeError` naming the first
-    offending coordinate; ``policy="clamp"`` silently clips instead.
+    Raises :class:`DepthRangeError` naming the first offending coordinate.
     """
-    if policy not in ("reject", "clamp"):
-        raise ValueError(f"unknown depth policy {policy!r}; use 'reject' or 'clamp'")
     arr = np.asarray(values, dtype=DTYPE)
     if arr.ndim not in (2, 3):
         raise ShapeError(f"depth must be (H, W) or (N, H, W), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise DepthRangeError(f"depth{tuple(int(i) for i in bad)} is not finite")
-    if policy == "clamp":
-        return np.clip(arr, 0.0, 1.0)
     out_of_range = (arr < 0.0) | (arr > 1.0)
     if out_of_range.any():
         bad = np.argwhere(out_of_range)[0]
@@ -74,26 +61,15 @@ def _broadcast_depth(depth: np.ndarray, batch: int, channels: int) -> np.ndarray
     return np.ascontiguousarray(d, dtype=DTYPE)
 
 
-def region_masks(
-    depth: np.ndarray,
-    batch: int,
-    channels: int,
-    image_hw: Optional[Tuple[int, int]] = None,
-    policy: str = "reject",
-) -> Tuple[Tensor4, Tensor4]:
+def region_masks(depth: np.ndarray, batch: int, channels: int) -> Tuple[Tensor4, Tensor4]:
     """Constant (fg, bg) mask tensors: D and 1 - D, broadcast to (N, C, H, W)."""
-    d = validate_depth(depth, policy=policy)
-    hw = d.shape[-2:]
-    if image_hw is not None and tuple(image_hw) != hw:
-        raise ShapeError(f"depth spatial dims {hw} do not match image dims {tuple(image_hw)}")
-    full = _broadcast_depth(d, batch, channels)
+    full = _broadcast_depth(validate_depth(depth), batch, channels)
     return Tensor4(full), Tensor4(np.float32(1.0) - full)
 
 
 def split(
     images: Tensor4,
     depth: Union[np.ndarray, "np.typing.ArrayLike"],
-    policy: str = "reject",
 ) -> Tuple[Tensor4, Tensor4]:
     """Split a batch into (foreground, background) along the depth map.
 
@@ -107,5 +83,5 @@ def split(
             f"depth spatial dims {d.shape[-2:]} do not match image dims {(h, w)} "
             f"(images {images.shape}, depth {d.shape})"
         )
-    fg_mask, bg_mask = region_masks(d, n, c, policy=policy)
+    fg_mask, bg_mask = region_masks(d, n, c)
     return mul(images, fg_mask), mul(images, bg_mask)

@@ -33,11 +33,11 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     desk_config,
+    enhance_record,
     evaluate,
-    load_checkpoint,
+    load_generator,
     train,
 )
-from . import trainer as _trainer
 
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".png")
 
@@ -184,13 +184,8 @@ def cmd_enhance(args) -> int:
             ckpt_path = Path(args.checkpoint)
             if not ckpt_path.is_file():
                 raise ValueError(f"checkpoint not found: {ckpt_path}")
-            bundle = load_checkpoint(ckpt_path)
-            config = TrainConfig.from_dict(bundle.config)
-            models = _trainer.build_models(config)
-            optims = _trainer.build_optimizers(models, config.lr)
-            _trainer.restore_into(bundle, models, optims)
-            gen = models["gen_xy"]
-            enhance = lambda rec: _trainer.enhance_record(gen, rec)
+            gen = load_generator(ckpt_path)
+            enhance = lambda rec: enhance_record(gen, rec)
         in_path = Path(getattr(args, "in"))
         inputs = _iter_input_images(in_path)
         out = Path(args.out)
@@ -234,7 +229,10 @@ def cmd_eval(args) -> int:
         return _fail_runtime(str(exc))
     print(result.to_text())
     if args.csv:
-        Path(args.csv).write_text(result.model.to_csv())
+        try:
+            Path(args.csv).write_text(result.model.to_csv())
+        except OSError as exc:
+            return _fail_runtime(f"cannot write CSV: {exc}")
         print(f"per-image CSV -> {args.csv}")
     return 0
 

@@ -192,7 +192,7 @@ def save_image(record: ImageRecord, path) -> None:
 
 def save_depth(depth: np.ndarray, path) -> None:
     """Write a [0,1] depth map as an 8-bit PGM (round-half-up)."""
-    depth = validate_depth(depth, policy="reject")
+    depth = validate_depth(depth)
     if depth.ndim != 2:
         raise ValueError(f"depth file must be a single (H, W) map, got {depth.shape}")
     q = np.floor(depth * 255.0 + 0.5).astype(np.uint8)
@@ -281,7 +281,7 @@ def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> Ima
     params.validate()
     if clean.channels != 3:
         raise ValueError("degrade expects a 3-channel image")
-    depth = validate_depth(depth, policy="reject")
+    depth = validate_depth(depth)
     if depth.ndim != 2 or depth.shape != clean.pixels.shape[1:]:
         raise ValueError(
             f"depth shape {depth.shape} does not match image {clean.pixels.shape[1:]}"
@@ -372,6 +372,15 @@ def load_manifest(root) -> DatasetManifest:
     for key, kind in (("layout", str), ("splits", dict), ("files", dict)):
         if not isinstance(doc.get(key), kind):
             raise LayoutError(f"{mpath}: required key {key!r} is missing or not a {kind.__name__}")
+    for split, names in doc["splits"].items():
+        if not isinstance(names, list):
+            raise LayoutError(f"{mpath}: split {split!r} must be a list of ids")
+        for i in names:
+            roles = doc["files"].get(i) if isinstance(i, str) else None
+            if not isinstance(roles, dict) or not {"distorted", "clean"} <= roles.keys():
+                raise LayoutError(
+                    f"{mpath}: id {i!r} in split {split!r} lacks a 'distorted' or 'clean' file"
+                )
     return DatasetManifest(
         root=str(root),
         layout=doc["layout"],

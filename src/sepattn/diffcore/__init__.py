@@ -24,7 +24,6 @@ from .ops import (  # noqa: F401
     shift,
     sub,
     tanh,
-    wsum,
 )
 from .optim import AdamState, adam_step  # noqa: F401
 from .gradcheck import GradCheckResult, grad_check, run_registry  # noqa: F401

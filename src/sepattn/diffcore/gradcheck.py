@@ -71,6 +71,18 @@ def _probe_weights(shape: tuple, rng: np.random.Generator) -> np.ndarray:
     return mag * sign
 
 
+def _wsum(a: Tensor4, weights: np.ndarray) -> Tensor4:
+    """Weighted sum with a constant weight array of ``a``'s shape: the scalarizer."""
+    wts = np.asarray(weights, dtype=np.float64)
+    val = float(np.sum(a.data.astype(np.float64) * wts))
+    w32 = wts.astype(DTYPE)
+
+    def grad_fn(g: np.ndarray):
+        return ((w32 * g.reshape(())).astype(DTYPE),)
+
+    return ops._make(ops._scalar_out(val), (a,), grad_fn)
+
+
 def grad_check(
     fn: Callable[..., Tensor4],
     args: Sequence[Tensor4],
@@ -99,7 +111,7 @@ def grad_check(
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError(f"{name}: forward produced non-finite values")
     probe = _probe_weights(out.shape, rng)
-    loss = ops.wsum(out, probe)
+    loss = _wsum(out, probe)
     backward(loss)
     analytic = []
     for i in idxs:

@@ -36,7 +36,6 @@ __all__ = [
     "mean_abs",
     "mean_sq",
     "mean_softplus",
-    "wsum",
     "concat_channels",
     "backward",
 ]
@@ -424,20 +423,6 @@ def mean_softplus(a: Tensor4) -> Tensor4:
         x = a.data
         sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
         return ((sig * (g0 / np.float32(n))).astype(DTYPE),)
-
-    return _make(_scalar_out(val), (a,), grad_fn)
-
-
-def wsum(a: Tensor4, weights: np.ndarray) -> Tensor4:
-    """Weighted sum with a constant weight array; scalarizer for grad checks."""
-    wts = np.asarray(weights, dtype=np.float64)
-    if wts.shape != a.shape:
-        raise ShapeError(f"wsum: weights shape {wts.shape} must match tensor shape {a.shape}")
-    val = float(np.sum(a.data.astype(np.float64) * wts))
-    w32 = wts.astype(DTYPE)
-
-    def grad_fn(g: np.ndarray):
-        return ((w32 * g.reshape(())).astype(DTYPE),)
 
     return _make(_scalar_out(val), (a,), grad_fn)
 

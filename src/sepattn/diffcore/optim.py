@@ -46,8 +46,6 @@ def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
     """
     plist = list(params)
     for p in plist:
-        if not p.trainable:
-            raise ValueError(f"adam: parameter '{p.id}' is frozen (trainable=False)")
         if p.tensor.grad is None:
             raise GraphError(f"adam: parameter '{p.id}' has no gradient; run backward first")
     state.step += 1

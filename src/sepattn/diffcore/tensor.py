@@ -113,13 +113,13 @@ class Tensor4:
 class Parameter:
     """A named trainable tensor.
 
-    ``trainable=False`` marks tensors that live with the model but must never
-    be touched by the optimizer (the optimizer refuses them).
+    Construction marks the tensor ``requires_grad``. A model is frozen by
+    clearing that flag on its parameters' tensors for the span of a graph,
+    which leaves their ``.grad`` untouched.
     """
 
     id: str
     tensor: Tensor4
-    trainable: bool = True
 
     def __post_init__(self):
         if not self.id:

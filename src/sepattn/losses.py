@@ -47,7 +47,6 @@ __all__ = [
     "GanLossKind",
     "LossWeights",
     "LossReport",
-    "REQUIRED_MODELS",
     "gan_generator_loss",
     "gan_discriminator_loss",
     "cycle_loss",
@@ -60,8 +59,6 @@ __all__ = [
 
 #: attention weights are expected inside this closed interval
 ATTENTION_RANGE = (1.0, 10.0)
-
-REQUIRED_MODELS = ("gen_xy", "gen_yx", "disc_x", "disc_y")
 
 
 class GanLossKind(str, Enum):

@@ -12,7 +12,7 @@ it); only the discriminator's final projection keeps one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from .diffcore import (
     conv2d,
     conv_transpose2d,
     leaky_relu,
-    scale,
     tanh,
 )
 
@@ -38,10 +37,6 @@ __all__ = [
     "DiscriminatorConfig",
     "Generator",
     "Discriminator",
-    "build_generator",
-    "build_discriminator",
-    "generator_forward",
-    "discriminator_forward",
     "parameter_count",
 ]
 
@@ -171,9 +166,6 @@ class Model:
         self._add_param(f"{stage}/bn/beta", np.zeros((1, channels, 1, 1), DTYPE))
         self._stats[stage] = RunningStats.create(channels, momentum)
 
-    def trainable_parameters(self) -> List[Parameter]:
-        return [p for p in self.params.values() if p.trainable]
-
     def buffers(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
         for stage, stats in self._stats.items():
@@ -251,7 +243,6 @@ class Generator(Model):
         x: Tensor4,
         training: bool = False,
         update_stats: Optional[bool] = None,
-        zero_skip: Optional[int] = None,
     ) -> Tensor4:
         cfg: GeneratorConfig = self.config
         n, c, h, w = x.shape
@@ -297,10 +288,7 @@ class Generator(Model):
             )
             hcur = leaky_relu(hcur, cfg.leaky_slope)
             mirror = cfg.depth - j  # encoder stage index (1-based) to merge in
-            skip = skips[mirror - 1]
-            if zero_skip is not None and zero_skip == mirror:
-                skip = scale(skip, 0.0)  # diagnostic: prove the wiring is live
-            hcur = concat_channels(hcur, skip)
+            hcur = concat_channels(hcur, skips[mirror - 1])
         raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -371,19 +359,3 @@ class Discriminator(Model):
             stride=1,
             padding=0,
         )
-
-
-def build_generator(config: GeneratorConfig, seed: int = 0) -> Generator:
-    return Generator(config, seed)
-
-
-def build_discriminator(config: DiscriminatorConfig, seed: int = 0) -> Discriminator:
-    return Discriminator(config, seed)
-
-
-def generator_forward(model: Generator, x: Tensor4, training: bool = False) -> Tensor4:
-    return model.forward(x, training=training)
-
-
-def discriminator_forward(model: Discriminator, pair: Tensor4, training: bool = False) -> Tensor4:
-    return model.forward(pair, training=training)

@@ -2,9 +2,11 @@
 
 Each step runs two phases: the generators minimize the attention-weighted
 objective, then the discriminators minimize their own separated losses on
-freshly generated, detached fakes. Checkpoints round-trip bit-exactly and the
-training log is bitwise reproducible from (seed, config, dataset) — except
-the wall-clock ``ms`` column.
+freshly generated fakes. Each phase freezes the models it does not update
+(``requires_grad`` cleared on their parameters), so the discriminator phase
+builds no graph through the generators. Checkpoints round-trip bit-exactly
+and the training log is bitwise reproducible from (seed, config, dataset) —
+except the wall-clock ``ms`` column.
 """
 from __future__ import annotations
 
@@ -12,10 +14,11 @@ import dataclasses
 import hashlib
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,14 +39,7 @@ from .losses import (
     separated_discriminator_losses,
 )
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
-from .netarch import (
-    DiscriminatorConfig,
-    Generator,
-    GeneratorConfig,
-    Model,
-    build_discriminator,
-    build_generator,
-)
+from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
 
 __all__ = [
     "LOG_HEADER",
@@ -67,6 +63,7 @@ __all__ = [
     "load_checkpoint",
     "bundle_from_live",
     "restore_into",
+    "load_generator",
     "config_hash",
 ]
 
@@ -219,9 +216,9 @@ def build_models(config: TrainConfig) -> Dict[str, Model]:
             np.random.SeedSequence([config.seed, _MODEL_SEED_OFFSETS[name]]).generate_state(1)[0]
         )
         if name.startswith("gen"):
-            models[name] = build_generator(gen_cfg, seed=seed)
+            models[name] = Generator(gen_cfg, seed=seed)
         else:
-            models[name] = build_discriminator(disc_cfg, seed=seed)
+            models[name] = Discriminator(disc_cfg, seed=seed)
     return models
 
 
@@ -235,6 +232,24 @@ def _generator_names(models: Dict[str, Model]) -> List[str]:
 
 def _discriminator_names(models: Dict[str, Model]) -> List[str]:
     return [n for n in models if n.startswith("disc")]
+
+
+@contextmanager
+def _frozen(models: Dict[str, Model], names: Iterable[str]):
+    """Clear ``requires_grad`` on the named models' parameters; restore it on exit.
+
+    Graphs built inside the block carry no gradient to those parameters, and
+    the flags come back even if the block raises.
+    """
+    tensors = [p.tensor for n in names for p in models[n].params.values()]
+    was_tracked = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, tracked in zip(tensors, was_tracked):
+            t.requires_grad = tracked
 
 
 # ---------------------------------------------------------------------------
@@ -271,25 +286,17 @@ def generator_phase(
     """Minimize the attention objective over both generators; one Adam step each.
 
     The discriminators score the fakes inside the graph but are frozen for
-    the phase (``requires_grad`` cleared on their parameters, restored on exit
-    even if the phase raises): the backward pass flows through them to the
-    generators and leaves every discriminator ``.grad`` untouched.
+    the phase: the backward pass flows through them to the generators and
+    leaves every discriminator ``.grad`` untouched.
     """
-    frozen = [p.tensor for n in _discriminator_names(models) for p in models[n].params.values()]
-    was_tracked = [t.requires_grad for t in frozen]
-    for t in frozen:
-        t.requires_grad = False
-    try:
+    with _frozen(models, _discriminator_names(models)):
         total, report = full_generator_loss(
             x, y, depth, models, config.weights, config.gan_kind, training=True
         )
         _check_finite(report.to_dict(), epoch, step)
         backward(total)
-    finally:
-        for t, tracked in zip(frozen, was_tracked):
-            t.requires_grad = tracked
     for name in _generator_names(models):
-        adam_step(models[name].trainable_parameters(), optims[name])
+        adam_step(models[name].params.values(), optims[name])
     return report
 
 
@@ -303,16 +310,21 @@ def discriminator_phase(
     epoch: int = 0,
     step: int = 0,
 ) -> Dict[str, float]:
-    """Minimize the separated real/fake losses; fakes are fresh and detached."""
-    fake_y = models["gen_xy"].forward(x, training=True, update_stats=False).detach()
-    fake_x = models["gen_yx"].forward(y, training=True, update_stats=False).detach()
+    """Minimize the separated real/fake losses on fresh fakes.
+
+    The generators are frozen while they make the fakes, so the fakes carry
+    no graph and every generator ``.grad`` stays untouched.
+    """
+    with _frozen(models, _generator_names(models)):
+        fake_y = models["gen_xy"].forward(x, training=True, update_stats=False)
+        fake_x = models["gen_yx"].forward(y, training=True, update_stats=False)
     total, values = separated_discriminator_losses(
         x, y, fake_x, fake_y, depth, models, config.weights, config.gan_kind, training=True
     )
     _check_finite(values, epoch, step)
     backward(total)
     for name in _discriminator_names(models):
-        adam_step(models[name].trainable_parameters(), optims[name])
+        adam_step(models[name].params.values(), optims[name])
     return values
 
 
@@ -481,23 +493,28 @@ def load_checkpoint(path) -> CheckpointBundle:
     return CheckpointBundle(version=version, config=config, tensors=tensors, state=state)
 
 
+def _load_model(bundle: CheckpointBundle, mname: str, model: Model) -> None:
+    """Load the ``model/<mname>/`` params and buffers (strict names + shapes)."""
+    prefix = f"model/{mname}/"
+    bufprefix = prefix + "buffers/"
+    params = {
+        k[len(prefix) :]: v
+        for k, v in bundle.tensors.items()
+        if k.startswith(prefix) and not k.startswith(bufprefix)
+    }
+    buffers = {k[len(bufprefix) :]: v for k, v in bundle.tensors.items() if k.startswith(bufprefix)}
+    try:
+        model.load_arrays(params, buffers)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint does not fit model {mname!r}: {exc}") from exc
+
+
 def restore_into(
     bundle: CheckpointBundle, models: Dict[str, Model], optims: Dict[str, AdamState]
 ) -> None:
     """Load bundle tensors into live models/optimizers (strict names + shapes)."""
     for mname, model in models.items():
-        prefix = f"model/{mname}/"
-        bufprefix = prefix + "buffers/"
-        params = {
-            k[len(prefix) :]: v
-            for k, v in bundle.tensors.items()
-            if k.startswith(prefix) and not k.startswith(bufprefix)
-        }
-        buffers = {k[len(bufprefix) :]: v for k, v in bundle.tensors.items() if k.startswith(bufprefix)}
-        try:
-            model.load_arrays(params, buffers)
-        except (KeyError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint does not fit model {mname!r}: {exc}") from exc
+        _load_model(bundle, mname, model)
         st = optims[mname]
         st.m = {
             k[len(f"optim/{mname}/m/") :]: v.copy()
@@ -510,6 +527,19 @@ def restore_into(
             if k.startswith(f"optim/{mname}/v/")
         }
         st.step = int(bundle.state["optim_steps"].get(mname, 0))
+
+
+def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
+    """The X->Y generator (``gen_xy``) of a checkpoint path or loaded bundle.
+
+    Builds that one model only: no discriminators and no optimizer state.
+    """
+    bundle = checkpoint if isinstance(checkpoint, CheckpointBundle) else load_checkpoint(checkpoint)
+    config = TrainConfig.from_dict(bundle.config)
+    config.validate()
+    gen = Generator(config.generator_config())
+    _load_model(bundle, "gen_xy", gen)
+    return gen
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +624,8 @@ def train(
     n = len(pairs)
     steps_per_epoch = -(-n // config.batch_size)
 
-    final_bundle = bundle_from_live(models, optims, config, start_epoch, global_step)
-    ran_any = False
     with log_path.open("a") as log:
         for epoch in range(start_epoch, config.epochs):
-            ran_any = True
             order = np.random.default_rng(
                 np.random.SeedSequence([config.seed, epoch])
             ).permutation(n)
@@ -608,10 +635,15 @@ def train(
                 row = train_step(batch, models, optims, config, epoch=epoch + 1, step=global_step)
                 log.write(row.csv_line() + "\n")
                 log.flush()
-            final_bundle = bundle_from_live(models, optims, config, epoch + 1, global_step)
             if config.checkpoint_every and (epoch + 1) % config.checkpoint_every == 0:
-                save_checkpoint(final_bundle, out_dir / f"ckpt_epoch_{epoch + 1:04d}.satt")
-    if ran_any:
+                save_checkpoint(
+                    bundle_from_live(models, optims, config, epoch + 1, global_step),
+                    out_dir / f"ckpt_epoch_{epoch + 1:04d}.satt",
+                )
+    final_bundle = bundle_from_live(
+        models, optims, config, max(start_epoch, config.epochs), global_step
+    )
+    if config.epochs > start_epoch:
         save_checkpoint(final_bundle, out_dir / "ckpt_final.satt")
     return final_bundle, log_path
 
@@ -661,12 +693,7 @@ def evaluate(
     if isinstance(checkpoint, str) and checkpoint == "identity":
         enhance = lambda rec: rec
     else:
-        bundle = checkpoint if isinstance(checkpoint, CheckpointBundle) else load_checkpoint(checkpoint)
-        config = TrainConfig.from_dict(bundle.config)
-        models = build_models(config)
-        optims = build_optimizers(models, config.lr)
-        restore_into(bundle, models, optims)
-        gen = models["gen_xy"]
+        gen = load_generator(checkpoint)
         enhance = lambda rec: enhance_record(gen, rec)
 
     model_items = []

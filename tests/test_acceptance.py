@@ -176,10 +176,10 @@ def test_4_loss_algebra_worked_values_and_gradient_decomposition():
     worst_rel = 0.0
     for seed in (0, 1, 2):
         models = {
-            "gen_xy": netarch.build_generator(gen_cfg, seed=seed),
-            "gen_yx": netarch.build_generator(gen_cfg, seed=seed + 1),
-            "disc_x": netarch.build_discriminator(disc_cfg, seed=seed + 2),
-            "disc_y": netarch.build_discriminator(disc_cfg, seed=seed + 3),
+            "gen_xy": netarch.Generator(gen_cfg, seed=seed),
+            "gen_yx": netarch.Generator(gen_cfg, seed=seed + 1),
+            "disc_x": netarch.Discriminator(disc_cfg, seed=seed + 2),
+            "disc_y": netarch.Discriminator(disc_cfg, seed=seed + 3),
         }
         g = np.random.default_rng(seed)
         x = Tensor4(g.uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32))

@@ -17,30 +17,10 @@ class TestValidateDepth:
         with pytest.raises(attnmask.DepthRangeError, match=r"\[2, 3\].*1\.5"):
             attnmask.validate_depth(d)
 
-    def test_clamp_clips(self):
-        d = np.array([[-0.5, 0.5], [1.5, 1.0]], np.float32)
-        out = attnmask.validate_depth(d, policy="clamp")
-        np.testing.assert_array_equal(out, [[0.0, 0.5], [1.0, 1.0]])
-
-    def test_nan_rejected_even_when_clamping(self):
+    def test_nan_rejected(self):
         d = np.array([[np.nan]], np.float32)
         with pytest.raises(attnmask.DepthRangeError, match="finite"):
-            attnmask.validate_depth(d, policy="clamp")
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            attnmask.validate_depth(np.zeros((2, 2)), policy="maybe")
-
-
-class TestDepthFrom8bit:
-    def test_endpoints_and_midpoint(self):
-        raw = np.array([[0, 128, 255]], np.uint8)
-        d = attnmask.depth_from_8bit(raw)
-        np.testing.assert_allclose(d, [[0.0, 128 / 255, 1.0]], rtol=1e-6)
-
-    def test_requires_uint8(self):
-        with pytest.raises(TypeError, match="uint8"):
-            attnmask.depth_from_8bit(np.zeros((2, 2), np.float32))
+            attnmask.validate_depth(d)
 
 
 class TestSplit:

@@ -10,6 +10,7 @@ from sepattn import cli, datapipe
 from sepattn.datapipe import load_depth, load_image, save_depth, save_image
 from sepattn.diffcore import ops
 from sepattn.diffcore.gradcheck import OP_CASES, _rand
+from sepattn.trainer import load_checkpoint, save_checkpoint
 
 
 def run_cli(*argv) -> int:
@@ -173,6 +174,20 @@ class TestEnhance:
                        "--out", str(tmp_path / "o.ppm")) == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_checkpoint_without_generator_is_runtime_error(self, dataset, trained_run,
+                                                          tmp_path, capsys):
+        bundle = load_checkpoint(trained_run / "ckpt_final.satt")
+        bundle.tensors = {k: v for k, v in bundle.tensors.items()
+                          if not k.startswith("model/gen_xy/")}
+        ckpt = tmp_path / "nogen.satt"
+        save_checkpoint(bundle, ckpt)
+        assert run_cli("enhance", "--checkpoint", str(ckpt),
+                       "--in", str(dataset / "distorted" / "00000.ppm"),
+                       "--out", str(tmp_path / "o.ppm")) == 1
+        err = capsys.readouterr().err
+        assert "gen_xy" in err and "Traceback" not in err
+        assert not (tmp_path / "o.ppm").exists()
+
     def test_wrong_image_size_is_runtime_error(self, trained_run, tmp_path):
         rec = datapipe.ImageRecord(
             id="big", pixels=np.zeros((3, 32, 32), dtype=np.uint8))
@@ -220,6 +235,29 @@ class TestEval:
         assert run_cli("eval", "--checkpoint", "identity", "--data", str(broken)) == 1
         err = capsys.readouterr().err
         assert "splits" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("role", [None, "distorted"])
+    def test_manifest_id_without_file_roles_is_runtime_error(self, dataset, tmp_path,
+                                                             capsys, role):
+        broken = tmp_path / "d"
+        broken.mkdir()
+        doc = json.loads((dataset / "manifest.json").read_text())
+        test_id = doc["splits"]["test"][0]
+        if role is None:
+            del doc["files"][test_id]
+        else:
+            del doc["files"][test_id][role]
+        (broken / "manifest.json").write_text(json.dumps(doc))
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(broken)) == 1
+        err = capsys.readouterr().err
+        assert test_id in err and "Traceback" not in err
+
+    def test_csv_in_missing_directory_is_runtime_error(self, dataset, tmp_path, capsys):
+        csv = tmp_path / "nodir" / "x.csv"
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),
+                       "--csv", str(csv)) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write CSV")
+        assert not csv.exists()
 
     def test_unknown_split_is_usage_error(self, dataset):
         assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),

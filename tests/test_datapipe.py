@@ -288,6 +288,9 @@ class TestSyntheticDataset:
             (lambda doc: doc.pop("files"), "'files' is missing"),
             (lambda doc: doc.update(splits=["train"]), "'splits' is missing or not a dict"),
             (lambda doc: doc.update(layout=3), "'layout' is missing or not a str"),
+            (lambda doc: doc["files"].pop("00000"), "'00000'.*lacks a 'distorted' or 'clean'"),
+            (lambda doc: doc["files"]["00001"].pop("clean"), "'00001'.*lacks a 'distorted' or 'clean'"),
+            (lambda doc: doc["splits"].update(train="00000"), "split 'train' must be a list"),
         ],
     )
     def test_malformed_manifest_is_layout_error(self, tmp_path, edit, match):

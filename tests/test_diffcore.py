@@ -531,12 +531,6 @@ class TestAdam:
         with pytest.raises(dc.GraphError, match="gen/w"):
             dc.adam_step([p], dc.AdamState())
 
-    def test_frozen_parameter_rejected(self):
-        p = dc.Parameter("frozen", t4(np.ones((1, 1, 1, 1))), trainable=False)
-        p.tensor.grad = np.ones((1, 1, 1, 1), np.float32)
-        with pytest.raises(ValueError, match="frozen"):
-            dc.adam_step([p], dc.AdamState())
-
     def test_state_is_per_parameter_id(self):
         a, b = self._param(1.0, "a"), self._param(1.0, "b")
         st = dc.AdamState()

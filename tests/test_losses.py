@@ -19,10 +19,10 @@ def scores(value, shape=(2, 1, 4, 4)):
 
 def small_models(seed=0):
     return {
-        "gen_xy": netarch.build_generator(GEN_CFG, seed=seed),
-        "gen_yx": netarch.build_generator(GEN_CFG, seed=seed + 1),
-        "disc_x": netarch.build_discriminator(DISC_CFG, seed=seed + 2),
-        "disc_y": netarch.build_discriminator(DISC_CFG, seed=seed + 3),
+        "gen_xy": netarch.Generator(GEN_CFG, seed=seed),
+        "gen_yx": netarch.Generator(GEN_CFG, seed=seed + 1),
+        "disc_x": netarch.Discriminator(DISC_CFG, seed=seed + 2),
+        "disc_y": netarch.Discriminator(DISC_CFG, seed=seed + 3),
     }
 
 
@@ -188,8 +188,8 @@ class TestFullGeneratorLoss:
             in_channels=3, num_layers=2, base_channels=4, image_size=16
         )
         models = small_models()
-        models["disc_x"] = netarch.build_discriminator(cfg, seed=9)
-        models["disc_y"] = netarch.build_discriminator(cfg, seed=10)
+        models["disc_x"] = netarch.Discriminator(cfg, seed=9)
+        models["disc_y"] = netarch.Discriminator(cfg, seed=10)
         x, y, depth = batch(seed=4)
         total, rep = losses.full_generator_loss(x, y, depth, models)
         assert np.isfinite(total.item())
@@ -250,13 +250,13 @@ class TestPerRegionDiscriminators:
 
     def _models(self, seed=0):
         models = {
-            "gen_xy": netarch.build_generator(GEN_CFG, seed=seed),
-            "gen_yx": netarch.build_generator(GEN_CFG, seed=seed + 1),
+            "gen_xy": netarch.Generator(GEN_CFG, seed=seed),
+            "gen_yx": netarch.Generator(GEN_CFG, seed=seed + 1),
         }
         k = seed + 2
         for dom in ("x", "y"):
             for region in ("fg", "bg"):
-                models[f"disc_{dom}_{region}"] = netarch.build_discriminator(DISC_CFG, seed=k)
+                models[f"disc_{dom}_{region}"] = netarch.Discriminator(DISC_CFG, seed=k)
                 k += 1
         return models
 

@@ -1,4 +1,4 @@
-"""Structure, shapes, and init properties of the generator/discriminator builders."""
+"""Structure, shapes, and init properties of the generator and discriminator."""
 import numpy as np
 import pytest
 
@@ -38,7 +38,7 @@ class TestConfigValidation:
     def test_patch_collapse_rejected_at_build(self):
         cfg = netarch.DiscriminatorConfig(num_layers=3, image_size=4)
         with pytest.raises(netarch.ConfigError, match="collapses"):
-            netarch.build_discriminator(cfg)
+            netarch.Discriminator(cfg)
 
     def test_defaults_validate(self):
         netarch.GeneratorConfig().validate()
@@ -47,17 +47,17 @@ class TestConfigValidation:
 
 class TestGenerator:
     def test_output_shape_matches_input(self):
-        gen = netarch.build_generator(DESK_GEN, seed=1)
-        out = netarch.generator_forward(gen, rand_img(), training=True)
+        gen = netarch.Generator(DESK_GEN, seed=1)
+        out = gen.forward(rand_img(), training=True)
         assert out.shape == (2, 3, 64, 64)
 
     def test_output_in_unit_interval(self):
-        gen = netarch.build_generator(DESK_GEN, seed=1)
-        out = netarch.generator_forward(gen, rand_img(seed=3), training=True)
+        gen = netarch.Generator(DESK_GEN, seed=1)
+        out = gen.forward(rand_img(seed=3), training=True)
         assert out.data.min() >= -1.0 and out.data.max() <= 1.0
 
     def test_weight_shapes_follow_channel_plan(self):
-        gen = netarch.build_generator(DESK_GEN, seed=0)
+        gen = netarch.Generator(DESK_GEN, seed=0)
         shapes = {pid: p.tensor.shape for pid, p in gen.params.items()}
         assert shapes["e1/conv/weight"] == (16, 3, 4, 4)
         assert shapes["e2/conv/weight"] == (32, 16, 4, 4)
@@ -69,15 +69,15 @@ class TestGenerator:
 
     def test_parameter_count_matches_hand_tally(self):
         cfg = netarch.GeneratorConfig(image_size=8, depth=2, base_channels=4)
-        gen = netarch.build_generator(cfg)
+        gen = netarch.Generator(cfg)
         # e1: 4*3*16 conv + 2*4 bn; e2: 8*4*16 + 2*8; d1: 8*4*16 + 2*4; d2: 8*3*16
         want = (192 + 8) + (512 + 16) + (512 + 8) + 384
         assert netarch.parameter_count(gen) == want
 
     def test_seed_determinism_and_variation(self):
-        a = netarch.build_generator(DESK_GEN, seed=7)
-        b = netarch.build_generator(DESK_GEN, seed=7)
-        c = netarch.build_generator(DESK_GEN, seed=8)
+        a = netarch.Generator(DESK_GEN, seed=7)
+        b = netarch.Generator(DESK_GEN, seed=7)
+        c = netarch.Generator(DESK_GEN, seed=8)
         assert np.array_equal(
             a.params["e1/conv/weight"].tensor.data, b.params["e1/conv/weight"].tensor.data
         )
@@ -86,7 +86,7 @@ class TestGenerator:
         )
 
     def test_init_distribution_scale(self):
-        gen = netarch.build_generator(
+        gen = netarch.Generator(
             netarch.GeneratorConfig(image_size=64, depth=3, base_channels=32), seed=0
         )
         w = gen.params["e3/conv/weight"].tensor.data
@@ -94,29 +94,42 @@ class TestGenerator:
         assert abs(float(w.mean())) < 0.002
 
     def test_bn_init_identity_affine(self):
-        gen = netarch.build_generator(DESK_GEN)
+        gen = netarch.Generator(DESK_GEN)
         assert np.all(gen.params["e1/bn/gamma"].tensor.data == 1.0)
         assert np.all(gen.params["e1/bn/beta"].tensor.data == 0.0)
 
-    def test_skip_wiring_is_live(self):
-        gen = netarch.build_generator(DESK_GEN, seed=2)
+    def test_skip_wiring_is_live(self, monkeypatch):
+        gen = netarch.Generator(DESK_GEN, seed=2)
         x = rand_img(n=1, seed=4)
         full = gen.forward(x, training=True, update_stats=False).data
-        cut = gen.forward(x, training=True, update_stats=False, zero_skip=1).data
+
+        concat = netarch.concat_channels
+        stage1_hw = (DESK_GEN.image_size // 2,) * 2
+        cut_calls = []
+
+        def zero_stage1_skip(a, skip):
+            if skip.shape[2:] == stage1_hw:  # only encoder stage 1 runs at half size
+                cut_calls.append(skip.shape)
+                skip = Tensor4(np.zeros_like(skip.data))
+            return concat(a, skip)
+
+        monkeypatch.setattr(netarch, "concat_channels", zero_stage1_skip)
+        cut = gen.forward(x, training=True, update_stats=False).data
+        assert cut_calls == [(1, 16, 32, 32)]
         assert not np.allclose(full, cut)
 
     def test_wrong_spatial_size_rejected(self):
-        gen = netarch.build_generator(DESK_GEN)
+        gen = netarch.Generator(DESK_GEN)
         with pytest.raises(ShapeError, match="64x64"):
             gen.forward(rand_img(size=32), training=True)
 
     def test_wrong_channel_count_rejected(self):
-        gen = netarch.build_generator(DESK_GEN)
+        gen = netarch.Generator(DESK_GEN)
         with pytest.raises(ShapeError, match="channels"):
             gen.forward(rand_img(c=1), training=True)
 
     def test_train_forward_updates_buffers_eval_does_not(self):
-        gen = netarch.build_generator(DESK_GEN, seed=0)
+        gen = netarch.Generator(DESK_GEN, seed=0)
         before = {k: v.copy() for k, v in gen.buffers().items()}
         gen.forward(rand_img(seed=5), training=False)
         for k, v in gen.buffers().items():
@@ -127,9 +140,9 @@ class TestGenerator:
 
 class TestDiscriminator:
     def test_patch_map_shape(self):
-        disc = netarch.build_discriminator(DESK_DISC, seed=0)
+        disc = netarch.Discriminator(DESK_DISC, seed=0)
         pair = Tensor4(np.zeros((2, 6, 64, 64), np.float32))
-        out = netarch.discriminator_forward(disc, pair, training=True)
+        out = disc.forward(pair, training=True)
         assert out.shape == (2, 1, 8, 8)
         assert DESK_DISC.patch_map_hw((64, 64)) == (8, 8)
 
@@ -139,38 +152,38 @@ class TestDiscriminator:
         assert cfg.patch_map_hw((256, 256)) == (64, 64)
 
     def test_zero_input_zero_bias_gives_flat_patch_map(self):
-        disc = netarch.build_discriminator(DESK_DISC, seed=3)
+        disc = netarch.Discriminator(DESK_DISC, seed=3)
         pair = Tensor4(np.zeros((1, 6, 64, 64), np.float32))
         out = disc.forward(pair, training=True, update_stats=False).data
         assert np.all(out == out.reshape(-1)[0])
 
     def test_channel_mismatch_rejected(self):
-        disc = netarch.build_discriminator(DESK_DISC)
+        disc = netarch.Discriminator(DESK_DISC)
         with pytest.raises(ShapeError, match="6 channels"):
             disc.forward(Tensor4(np.zeros((1, 3, 64, 64), np.float32)), training=True)
 
     def test_runtime_collapse_rejected(self):
         cfg = netarch.DiscriminatorConfig(num_layers=4)  # no image_size pinned
-        disc = netarch.build_discriminator(cfg)
+        disc = netarch.Discriminator(cfg)
         with pytest.raises(ShapeError, match="collapses"):
             disc.forward(Tensor4(np.zeros((1, 6, 8, 8), np.float32)), training=True)
 
     def test_final_projection_has_bias_convs_do_not(self):
-        disc = netarch.build_discriminator(DESK_DISC)
+        disc = netarch.Discriminator(DESK_DISC)
         assert "proj/conv/bias" in disc.params
         assert not any("conv/bias" in k for k in disc.params if k.startswith("c"))
 
 
 class TestModelPlumbing:
     def test_param_ids_unique_and_stable(self):
-        gen = netarch.build_generator(DESK_GEN)
+        gen = netarch.Generator(DESK_GEN)
         ids = list(gen.params)
         assert len(ids) == len(set(ids))
         assert ids[0] == "e1/conv/weight"
 
     def test_load_arrays_round_trip(self):
-        a = netarch.build_generator(DESK_GEN, seed=1)
-        b = netarch.build_generator(DESK_GEN, seed=2)
+        a = netarch.Generator(DESK_GEN, seed=1)
+        b = netarch.Generator(DESK_GEN, seed=2)
         params = {k: p.tensor.data.copy() for k, p in a.params.items()}
         buffers = {k: v.copy() for k, v in a.buffers().items()}
         b.load_arrays(params, buffers)
@@ -178,7 +191,7 @@ class TestModelPlumbing:
             assert np.array_equal(b.params[k].tensor.data, a.params[k].tensor.data)
 
     def test_load_arrays_rejects_missing_key(self):
-        gen = netarch.build_generator(DESK_GEN)
+        gen = netarch.Generator(DESK_GEN)
         params = {k: p.tensor.data for k, p in gen.params.items()}
         removed = params.pop("e1/conv/weight")
         with pytest.raises(KeyError, match="e1/conv/weight"):
@@ -186,7 +199,7 @@ class TestModelPlumbing:
         params["e1/conv/weight"] = removed
 
     def test_load_arrays_rejects_shape_change(self):
-        gen = netarch.build_generator(DESK_GEN)
+        gen = netarch.Generator(DESK_GEN)
         params = {k: p.tensor.data.copy() for k, p in gen.params.items()}
         params["e1/conv/weight"] = params["e1/conv/weight"][:, :1]
         with pytest.raises(ShapeError, match="e1/conv/weight"):

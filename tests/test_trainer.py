@@ -25,6 +25,7 @@ from sepattn.trainer import (
     evaluate,
     generator_phase,
     load_checkpoint,
+    load_generator,
     restore_into,
     save_checkpoint,
     train,
@@ -245,6 +246,68 @@ class TestTrainStep:
         for n in ("disc_x", "disc_y"):
             assert all(p.tensor.requires_grad for p in models[n].params.values())
 
+    def test_discriminator_phase_freezes_generators(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        x, y, depth = trainer._stack_batch(first_batch(tiny_dataset, cfg))
+
+        # reference: fakes made on tracked generators, then detached
+        ref_models = build_models(cfg)
+        fake_y = ref_models["gen_xy"].forward(x, training=True, update_stats=False).detach()
+        fake_x = ref_models["gen_yx"].forward(y, training=True, update_stats=False).detach()
+        total, _ = trainer.separated_discriminator_losses(
+            x, y, fake_x, fake_y, depth, ref_models, cfg.weights, cfg.gan_kind, training=True
+        )
+        backward(total)
+        want = {
+            (n, pid): p.tensor.grad.copy()
+            for n in ("disc_x", "disc_y")
+            for pid, p in ref_models[n].params.items()
+        }
+
+        models = build_models(cfg)
+        optims = build_optimizers(models, cfg.lr)
+        owner = {id(st): n for n, st in optims.items()}
+        seen = {}
+        fakes = []
+        losses_fn = trainer.separated_discriminator_losses
+
+        def recording_losses(x, y, fake_x, fake_y, *args, **kwargs):
+            fakes.extend([fake_x, fake_y])
+            return losses_fn(x, y, fake_x, fake_y, *args, **kwargs)
+
+        def recording_adam_step(params, state):
+            for p in params:
+                seen[owner[id(state)], p.id] = p.tensor.grad.copy()
+            return adam_step(params, state)
+
+        monkeypatch.setattr(trainer, "separated_discriminator_losses", recording_losses)
+        monkeypatch.setattr(trainer, "adam_step", recording_adam_step)
+        discriminator_phase(x, y, depth, models, optims, cfg)
+        assert all(f.is_leaf and not f.requires_grad for f in fakes) and len(fakes) == 2
+        assert seen.keys() == want.keys()
+        for key, g in want.items():
+            assert seen[key].tobytes() == g.tobytes(), key
+        for n in ("gen_xy", "gen_yx"):
+            for p in models[n].params.values():
+                assert p.tensor.grad is None
+                assert p.tensor.requires_grad
+
+    def test_discriminator_phase_unfreezes_generators_on_error(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        models = build_models(cfg)
+        optims = build_optimizers(models, cfg.lr)
+        x, y, depth = trainer._stack_batch(first_batch(tiny_dataset, cfg))
+
+        def broken_forward(*args, **kwargs):
+            assert not any(p.tensor.requires_grad for p in models["gen_xy"].params.values())
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(models["gen_yx"], "forward", broken_forward)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            discriminator_phase(x, y, depth, models, optims, cfg)
+        for n in ("gen_xy", "gen_yx"):
+            assert all(p.tensor.requires_grad for p in models[n].params.values())
+
     def test_two_runs_are_bitwise_identical(self, tiny_dataset):
         cfg = tiny_config()
         lines = []
@@ -370,6 +433,31 @@ class TestCheckpoint:
         fresh_opt = build_optimizers(fresh, other.lr)
         with pytest.raises(CheckpointError, match="does not fit model"):
             restore_into(load_checkpoint(p), fresh, fresh_opt)
+
+
+    def test_load_generator_matches_full_restore(self, tmp_path, tiny_dataset):
+        cfg, models, optims = self._live(dataset=tiny_dataset, steps=2)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle_from_live(models, optims, cfg, 1, 2), p)
+        x = trainer._stack_batch(first_batch(tiny_dataset, cfg))[0]
+
+        # reference: every model and its optimizer state restored, then gen_xy
+        ref_models = build_models(cfg)
+        restore_into(load_checkpoint(p), ref_models, build_optimizers(ref_models, cfg.lr))
+        ref = ref_models["gen_xy"]
+        want = ref.forward(x, training=False).data.tobytes()
+
+        for source in (p, load_checkpoint(p)):
+            gen = load_generator(source)
+            assert model_bytes(gen) == model_bytes(ref)
+            assert gen.forward(x, training=False).data.tobytes() == want
+
+    def test_load_generator_without_generator_tensors(self, tmp_path):
+        cfg, models, optims = self._live(steps=0)
+        bundle = bundle_from_live(models, optims, cfg, 0, 0)
+        bundle.tensors = {k: v for k, v in bundle.tensors.items() if not k.startswith("model/gen_xy/")}
+        with pytest.raises(CheckpointError, match="does not fit model 'gen_xy'"):
+            load_generator(bundle)
 
 
 class TestTrainLoop:

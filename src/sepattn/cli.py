@@ -270,9 +270,9 @@ def cmd_grad_check(args) -> int:
     else:
         only = [o.strip() for o in args.ops.split(",") if o.strip()]
         unknown = [o for o in only if o not in OP_CASES]
-        if unknown:
+        if unknown or not only:
             return _fail_usage(
-                f"unknown op(s) {unknown}; known: {', '.join(sorted(OP_CASES))}"
+                f"unknown op(s) {unknown or '(none given)'}; known: {', '.join(sorted(OP_CASES))}"
             )
     seeds = [args.seed + k for k in range(5)]
     results = run_registry(seeds=seeds, only=only)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,7 +21,7 @@ import numpy as np
 
 from .attnmask import validate_depth
 from .diffcore import Tensor4
-from .util import worker_count
+from .util import map_units
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 _WSPACE = b" \t\r\n"
@@ -476,13 +475,7 @@ def generate_synthetic_dataset(
         save_image(distorted, root / "distorted" / f"{ids[i]}.ppm")
         save_depth(depth, root / "depth" / f"{ids[i]}.pgm")
 
-    workers = worker_count()
-    if workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(build_one, range(count)))
-    else:
-        for i in range(count):
-            build_one(i)
+    map_units(build_one, range(count))
 
     n_test = count // 10
     files = {

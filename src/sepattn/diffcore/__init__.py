@@ -17,7 +17,6 @@ from .ops import (  # noqa: F401
     conv_transpose2d,
     leaky_relu,
     mean_abs,
-    mean_softplus,
     mean_sq,
     mul,
     scale,

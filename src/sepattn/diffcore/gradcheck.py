@@ -276,11 +276,6 @@ def _case_mean_sq(rng):
     return (lambda x: ops.mean_sq(x)), [x]
 
 
-def _case_mean_softplus(rng):
-    x = _rand(rng, 1, 1, 2, 2, lo=-2.0, hi=2.0)
-    return (lambda x: ops.mean_softplus(x)), [x]
-
-
 def _case_concat_channels(rng):
     return (lambda a, b: ops.concat_channels(a, b)), [
         _rand(rng, 2, 2, 4, 4),
@@ -325,7 +320,6 @@ OP_CASES: Dict[str, Callable] = {
     "mul": _case_mul,
     "mean_abs": _case_mean_abs,
     "mean_sq": _case_mean_sq,
-    "mean_softplus": _case_mean_softplus,
     "concat_channels": _case_concat_channels,
     "composite_chain": _case_composite,
 }

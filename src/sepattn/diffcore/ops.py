@@ -35,7 +35,6 @@ __all__ = [
     "shift",
     "mean_abs",
     "mean_sq",
-    "mean_softplus",
     "concat_channels",
     "backward",
 ]
@@ -409,20 +408,6 @@ def mean_sq(a: Tensor4) -> Tensor4:
     def grad_fn(g: np.ndarray):
         g0 = g.reshape(())
         return ((a.data * (2.0 * g0 / np.float32(n))).astype(DTYPE),)
-
-    return _make(_scalar_out(val), (a,), grad_fn)
-
-
-def mean_softplus(a: Tensor4) -> Tensor4:
-    """mean(log(1 + exp(a))) — the stable building block for the NLL GAN losses."""
-    val = np.mean(np.logaddexp(0.0, a.data.astype(np.float64)))
-    n = a.data.size
-
-    def grad_fn(g: np.ndarray):
-        g0 = g.reshape(())
-        x = a.data
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-        return ((sig * (g0 / np.float32(n))).astype(DTYPE),)
 
     return _make(_scalar_out(val), (a,), grad_fn)
 

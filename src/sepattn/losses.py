@@ -11,17 +11,14 @@ which the attention weights then mix into one training scalar:
 
     total = fg_attention * combined_fg + bg_attention * combined_bg.
 
-Adversarial terms default to the least-squares form (generator pushes fake
-scores toward 1; discriminator pushes real toward 1 and fake toward 0); the
-negative-log-likelihood form is kept available for comparison. Discriminators
-score channel-concatenated (reference, candidate) pairs when built with twice
-the image channels, or the bare candidate otherwise.
+Adversarial terms use the least-squares form (generator pushes fake scores
+toward 1; discriminator pushes real toward 1 and fake toward 0). One
+discriminator per domain scores both regions, always on channel-concatenated
+(reference, candidate) pairs.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Dict, Tuple, Union
 
@@ -34,36 +31,26 @@ from .diffcore import (
     add,
     concat_channels,
     mean_abs,
-    mean_softplus,
     mean_sq,
     scale,
     shift,
     sub,
 )
-from .netarch import Discriminator, Generator
 
 __all__ = [
     "ATTENTION_RANGE",
-    "GanLossKind",
     "LossWeights",
     "LossReport",
     "gan_generator_loss",
     "gan_discriminator_loss",
     "cycle_loss",
     "attention_objective",
-    "check_models",
-    "region_discriminator",
     "full_generator_loss",
     "separated_discriminator_losses",
 ]
 
 #: attention weights are expected inside this closed interval
 ATTENTION_RANGE = (1.0, 10.0)
-
-
-class GanLossKind(str, Enum):
-    LEAST_SQUARES = "least_squares"
-    NEG_LOG_LIKELIHOOD = "neg_log_likelihood"
 
 
 @dataclass(frozen=True)
@@ -74,16 +61,13 @@ class LossWeights:
     fg_attention: float = 7.0
     bg_attention: float = 3.0
 
-    def validate(self, strict: bool = True) -> "LossWeights":
+    def validate(self) -> "LossWeights":
         if self.cycle_weight < 0:
             raise ValueError(f"cycle_weight must be >= 0, got {self.cycle_weight}")
         lo, hi = ATTENTION_RANGE
         for name, v in (("fg_attention", self.fg_attention), ("bg_attention", self.bg_attention)):
             if not (lo <= v <= hi):
-                msg = f"{name} = {v} outside the supported range [{lo:g}, {hi:g}]"
-                if strict:
-                    raise ValueError(msg)
-                warnings.warn(msg, stacklevel=2)
+                raise ValueError(f"{name} = {v} outside the supported range [{lo:g}, {hi:g}]")
         return self
 
 
@@ -125,22 +109,14 @@ class LossReport:
 # scalar loss atoms
 
 
-def gan_generator_loss(fake_scores: Tensor4, kind: GanLossKind = GanLossKind.LEAST_SQUARES) -> Tensor4:
+def gan_generator_loss(fake_scores: Tensor4) -> Tensor4:
     """How far the discriminator is from calling the fakes real."""
-    if kind == GanLossKind.LEAST_SQUARES:
-        return mean_sq(shift(fake_scores, -1.0))
-    return mean_softplus(scale(fake_scores, -1.0))
+    return mean_sq(shift(fake_scores, -1.0))
 
 
-def gan_discriminator_loss(
-    real_scores: Tensor4,
-    fake_scores: Tensor4,
-    kind: GanLossKind = GanLossKind.LEAST_SQUARES,
-) -> Tensor4:
+def gan_discriminator_loss(real_scores: Tensor4, fake_scores: Tensor4) -> Tensor4:
     """How far the discriminator is from scoring real as 1 and fake as 0."""
-    if kind == GanLossKind.LEAST_SQUARES:
-        return add(mean_sq(shift(real_scores, -1.0)), mean_sq(fake_scores))
-    return add(mean_softplus(scale(real_scores, -1.0)), mean_softplus(fake_scores))
+    return add(mean_sq(shift(real_scores, -1.0)), mean_sq(fake_scores))
 
 
 def cycle_loss(reconstructed: Tensor4, original: Tensor4) -> Tensor4:
@@ -171,45 +147,6 @@ def attention_objective(
 
 
 # ---------------------------------------------------------------------------
-# model plumbing
-
-
-def check_models(models: Dict[str, object]) -> None:
-    """Require both generators plus, per domain, a shared or per-region discriminator.
-
-    Shared mode supplies ``disc_x``/``disc_y``; the ablation mode supplies all
-    four of ``disc_x_fg``, ``disc_x_bg``, ``disc_y_fg``, ``disc_y_bg``.
-    """
-    missing = [k for k in ("gen_xy", "gen_yx") if k not in models]
-    for dom in ("x", "y"):
-        if f"disc_{dom}" in models:
-            continue
-        missing += [k for k in (f"disc_{dom}_fg", f"disc_{dom}_bg") if k not in models]
-    if missing:
-        raise KeyError(
-            f"models dict is missing {missing}; needs gen_xy, gen_yx and per domain "
-            "either disc_<d> or both disc_<d>_fg and disc_<d>_bg"
-        )
-
-
-def region_discriminator(models: Dict[str, object], domain: str, region: str) -> Discriminator:
-    """The discriminator scoring (domain, region): per-region if present, else shared."""
-    return models.get(f"disc_{domain}_{region}", models.get(f"disc_{domain}"))
-
-
-def _disc_input(disc: Discriminator, reference: Tensor4, candidate: Tensor4) -> Tensor4:
-    """Pair-scoring discriminators get (reference, candidate) stacked on channels."""
-    if disc.config.in_channels == candidate.shape[1] * 2:
-        return concat_channels(reference, candidate)
-    if disc.config.in_channels == candidate.shape[1]:
-        return candidate
-    raise ShapeError(
-        f"discriminator expects {disc.config.in_channels} channels; candidates have "
-        f"{candidate.shape[1]} (neither bare nor paired input fits)"
-    )
-
-
-# ---------------------------------------------------------------------------
 # full objectives
 
 
@@ -219,28 +156,24 @@ def full_generator_loss(
     depth: np.ndarray,
     models: Dict[str, object],
     weights: LossWeights = LossWeights(),
-    kind: GanLossKind = GanLossKind.LEAST_SQUARES,
-    training: bool = True,
     return_parts: bool = False,
 ):
     """Both generators' combined objective, separated by region and mixed by attention.
 
     Translations run on the full images; masking applies to the loss inputs.
-    Discriminator scoring uses batch statistics in train mode but never
-    updates discriminator norm buffers (that happens in the discriminator's
-    own phase). Returns ``(total, report)`` — with ``return_parts`` also a
-    dict holding the per-region combined scalars still attached to the graph.
+    Discriminator scoring uses batch statistics but never updates
+    discriminator norm buffers (that happens in the discriminator's own
+    phase). Returns ``(total, report)`` — with ``return_parts`` also a dict
+    holding the per-region combined scalars still attached to the graph.
     """
     if x.shape != y.shape:
         raise ShapeError(f"paired batch shapes differ: x {x.shape} vs y {y.shape}")
-    check_models(models)
-    gen_xy: Generator = models["gen_xy"]
-    gen_yx: Generator = models["gen_yx"]
+    gen_xy, gen_yx, disc_x, disc_y = (models[k] for k in ("gen_xy", "gen_yx", "disc_x", "disc_y"))
 
-    fake_y = gen_xy.forward(x, training=training, update_stats=training)
-    fake_x = gen_yx.forward(y, training=training, update_stats=training)
-    recon_x = gen_yx.forward(fake_y, training=training, update_stats=training)
-    recon_y = gen_xy.forward(fake_x, training=training, update_stats=training)
+    fake_y = gen_xy.forward(x, training=True)
+    fake_x = gen_yx.forward(y, training=True)
+    recon_x = gen_yx.forward(fake_y, training=True)
+    recon_y = gen_xy.forward(fake_x, training=True)
 
     regions = {}
     for name, img in (
@@ -258,20 +191,18 @@ def full_generator_loss(
     gan_yx_vals = {}
     cyc_vals = {}
     for r, ridx in (("fg", 0), ("bg", 1)):
-        disc_x = region_discriminator(models, "x", r)
-        disc_y = region_discriminator(models, "y", r)
         score_y = disc_y.forward(
-            _disc_input(disc_y, regions["y"][ridx], regions["fake_y"][ridx]),
-            training=training,
+            concat_channels(regions["y"][ridx], regions["fake_y"][ridx]),
+            training=True,
             update_stats=False,
         )
         score_x = disc_x.forward(
-            _disc_input(disc_x, regions["x"][ridx], regions["fake_x"][ridx]),
-            training=training,
+            concat_channels(regions["x"][ridx], regions["fake_x"][ridx]),
+            training=True,
             update_stats=False,
         )
-        gan_xy = gan_generator_loss(score_y, kind)
-        gan_yx = gan_generator_loss(score_x, kind)
+        gan_xy = gan_generator_loss(score_y)
+        gan_yx = gan_generator_loss(score_x)
         cyc = add(
             cycle_loss(regions["recon_x"][ridx], regions["x"][ridx]),
             cycle_loss(regions["recon_y"][ridx], regions["y"][ridx]),
@@ -304,8 +235,6 @@ def separated_discriminator_losses(
     depth: np.ndarray,
     models: Dict[str, object],
     weights: LossWeights = LossWeights(),
-    kind: GanLossKind = GanLossKind.LEAST_SQUARES,
-    training: bool = True,
 ) -> Tuple[Tensor4, Dict[str, float]]:
     """Per-domain, per-region discriminator losses.
 
@@ -317,7 +246,7 @@ def separated_discriminator_losses(
     Returns the weighted total and the four raw scalars keyed
     disc_x_fg / disc_x_bg / disc_y_fg / disc_y_bg.
     """
-    check_models(models)
+    disc_x, disc_y = models["disc_x"], models["disc_y"]
     for name, fake in (("fake_x", fake_x), ("fake_y", fake_y)):
         if fake.requires_grad or not fake.is_leaf:
             raise ValueError(f"{name} must be detached before the discriminator phase")
@@ -326,29 +255,17 @@ def separated_discriminator_losses(
     rx, ry = split(x), split(y)
     rfx, rfy = split(fake_x), split(fake_y)
 
+    def disc_loss(disc, real, fake):
+        return gan_discriminator_loss(
+            disc.forward(concat_channels(real, real), training=True),
+            disc.forward(concat_channels(real, fake), training=True),
+        )
+
     values: Dict[str, float] = {}
     region_totals = {}
     for r, ridx in (("fg", 0), ("bg", 1)):
-        disc_x = region_discriminator(models, "x", r)
-        disc_y = region_discriminator(models, "y", r)
-        lx = gan_discriminator_loss(
-            disc_x.forward(
-                _disc_input(disc_x, rx[ridx], rx[ridx]), training=training, update_stats=training
-            ),
-            disc_x.forward(
-                _disc_input(disc_x, rx[ridx], rfx[ridx]), training=training, update_stats=training
-            ),
-            kind,
-        )
-        ly = gan_discriminator_loss(
-            disc_y.forward(
-                _disc_input(disc_y, ry[ridx], ry[ridx]), training=training, update_stats=training
-            ),
-            disc_y.forward(
-                _disc_input(disc_y, ry[ridx], rfy[ridx]), training=training, update_stats=training
-            ),
-            kind,
-        )
+        lx = disc_loss(disc_x, rx[ridx], rfx[ridx])
+        ly = disc_loss(disc_y, ry[ridx], rfy[ridx])
         values[f"disc_x_{r}"] = lx.item()
         values[f"disc_y_{r}"] = ly.item()
         region_totals[r] = add(lx, ly)

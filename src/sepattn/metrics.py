@@ -12,14 +12,13 @@ Block terms that would divide by zero or take log of zero contribute zero.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .util import worker_count
+from .util import map_units
 
 __all__ = [
     "PSNR_CAP_DB",
@@ -352,10 +351,5 @@ def batch_report(
             )
     # aggregates must not depend on arrival order
     items.sort(key=lambda it: it[0])
-    workers = worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda it: _score_one(it, metrics, ssim_mode), items))
-    else:
-        rows = [_score_one(it, metrics, ssim_mode) for it in items]
+    rows = map_units(lambda it: _score_one(it, metrics, ssim_mode), items)
     return MetricsReport(metric_names=metrics, ids=[it[0] for it in items], rows=rows)

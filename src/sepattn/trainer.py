@@ -5,15 +5,20 @@ objective, then the discriminators minimize their own separated losses on
 freshly generated fakes. Each phase freezes the models it does not update
 (``requires_grad`` cleared on their parameters), so the discriminator phase
 builds no graph through the generators. Checkpoints round-trip bit-exactly
-and the training log is bitwise reproducible from (seed, config, dataset) —
-except the wall-clock ``ms`` column.
+and end in a CRC32 of their other bytes; the training log is bitwise
+reproducible from (seed, config, dataset) — except the wall-clock ``ms``
+column.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import struct
+import typing
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -31,13 +36,7 @@ from .datapipe import (
     to_model_space,
 )
 from .diffcore import AdamState, Tensor4, adam_step, backward
-from .losses import (
-    GanLossKind,
-    LossReport,
-    LossWeights,
-    full_generator_loss,
-    separated_discriminator_losses,
-)
+from .losses import LossReport, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
 
@@ -71,20 +70,16 @@ LOG_FIELDS = LossReport.FIELDS
 LOG_HEADER = "epoch,step," + ",".join(LOG_FIELDS) + ",ms"
 
 CHECKPOINT_MAGIC = b"SATT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # version 1 had no CRC32 trailer; it still loads
 _DTYPE_TAGS = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 
-# fixed per-model seed offsets so shared and per-region builds never collide
-_MODEL_SEED_OFFSETS = {
-    "gen_xy": 0,
-    "gen_yx": 1,
-    "disc_x": 2,
-    "disc_y": 3,
-    "disc_x_fg": 4,
-    "disc_x_bg": 5,
-    "disc_y_fg": 6,
-    "disc_y_bg": 7,
-}
+# fixed per-model seed offsets: every model gets its own init stream
+_MODEL_SEED_OFFSETS = {"gen_xy": 0, "gen_yx": 1, "disc_x": 2, "disc_y": 3}
+_GENERATORS = ("gen_xy", "gen_yx")
+_DISCRIMINATORS = ("disc_x", "disc_y")
+
+# keys of older configs whose one remaining value is implied
+_RETIRED_KEYS = {"gan_kind": "least_squares", "shared_region_discriminators": True}
 
 
 class CheckpointError(ValueError):
@@ -108,10 +103,8 @@ class TrainConfig:
     image_size: int = 256
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     discriminator: DiscriminatorConfig = field(default_factory=DiscriminatorConfig)
-    gan_kind: GanLossKind = GanLossKind.LEAST_SQUARES
     seed: int = 0
     checkpoint_every: int = 10
-    shared_region_discriminators: bool = True
 
     @property
     def weights(self) -> LossWeights:
@@ -134,41 +127,61 @@ class TrainConfig:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.discriminator.in_channels != 6:
+            raise ValueError(
+                "discriminator.in_channels must be 6 (a reference, candidate pair), "
+                f"got {self.discriminator.in_channels}"
+            )
         self.weights.validate()
         self.generator_config().validate()
         self.discriminator_config().validate()
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["gan_kind"] = self.gan_kind.value
-        return doc
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
         doc = dict(doc)
-        known = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; known keys: {sorted(known)}")
+        for key, kept in _RETIRED_KEYS.items():
+            if key in doc:
+                value = doc.pop(key)
+                if type(value) is not type(kept) or value != kept:
+                    raise ValueError(f"{key} = {value!r} is no longer supported; only {kept!r} is")
+        return TrainConfig(**_typed_fields(TrainConfig, doc, "config"))
 
-        def sub(cls, value):
-            if value is None or isinstance(value, cls):
-                return value
-            names = {f.name for f in dataclasses.fields(cls)}
-            bad = sorted(set(value) - names)
-            if bad:
-                raise ValueError(
-                    f"unknown {cls.__name__} keys {bad}; known keys: {sorted(names)}"
-                )
-            return cls(**value)
 
-        if "generator" in doc:
-            doc["generator"] = sub(GeneratorConfig, doc["generator"])
-        if "discriminator" in doc:
-            doc["discriminator"] = sub(DiscriminatorConfig, doc["discriminator"])
-        if "gan_kind" in doc and not isinstance(doc["gan_kind"], GanLossKind):
-            doc["gan_kind"] = GanLossKind(doc["gan_kind"])
-        return TrainConfig(**doc)
+def _typed_fields(cls, doc: dict, where: str) -> dict:
+    """``doc``'s values checked against the types of ``cls``'s fields.
+
+    int fields reject bools and floats; float fields also take ints (stored as
+    float); a nested config must be an object. A mismatch is a ValueError
+    naming the key.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known keys: {sorted(hints)}")
+    out = {}
+    for key, value in doc.items():
+        want = hints[key]
+        if typing.get_origin(want) is Union:  # Optional[int]
+            if value is None:
+                out[key] = None
+                continue
+            (want,) = (t for t in typing.get_args(want) if t is not type(None))
+        if dataclasses.is_dataclass(want):
+            if isinstance(value, dict):
+                value = want(**_typed_fields(want, value, key))
+            elif not isinstance(value, want):
+                raise ValueError(f"{where} key {key!r} must be an object, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if want is int else numbers.Real
+        ):
+            raise ValueError(f"{where} key {key!r} must be {want.__name__}, got {value!r}")
+        else:
+            value = want(value)
+        out[key] = value
+    return out
 
 
 def desk_config(**overrides) -> TrainConfig:
@@ -205,17 +218,10 @@ def build_models(config: TrainConfig) -> Dict[str, Model]:
     config.validate()
     gen_cfg = config.generator_config()
     disc_cfg = config.discriminator_config()
-    names = ["gen_xy", "gen_yx"]
-    if config.shared_region_discriminators:
-        names += ["disc_x", "disc_y"]
-    else:
-        names += ["disc_x_fg", "disc_x_bg", "disc_y_fg", "disc_y_bg"]
     models: Dict[str, Model] = {}
-    for name in names:
-        seed = int(
-            np.random.SeedSequence([config.seed, _MODEL_SEED_OFFSETS[name]]).generate_state(1)[0]
-        )
-        if name.startswith("gen"):
+    for name, offset in _MODEL_SEED_OFFSETS.items():
+        seed = int(np.random.SeedSequence([config.seed, offset]).generate_state(1)[0])
+        if name in _GENERATORS:
             models[name] = Generator(gen_cfg, seed=seed)
         else:
             models[name] = Discriminator(disc_cfg, seed=seed)
@@ -224,14 +230,6 @@ def build_models(config: TrainConfig) -> Dict[str, Model]:
 
 def build_optimizers(models: Dict[str, Model], lr: float) -> Dict[str, AdamState]:
     return {name: AdamState(lr=lr) for name in models}
-
-
-def _generator_names(models: Dict[str, Model]) -> List[str]:
-    return [n for n in models if n.startswith("gen")]
-
-
-def _discriminator_names(models: Dict[str, Model]) -> List[str]:
-    return [n for n in models if n.startswith("disc")]
 
 
 @contextmanager
@@ -289,13 +287,11 @@ def generator_phase(
     the phase: the backward pass flows through them to the generators and
     leaves every discriminator ``.grad`` untouched.
     """
-    with _frozen(models, _discriminator_names(models)):
-        total, report = full_generator_loss(
-            x, y, depth, models, config.weights, config.gan_kind, training=True
-        )
+    with _frozen(models, _DISCRIMINATORS):
+        total, report = full_generator_loss(x, y, depth, models, config.weights)
         _check_finite(report.to_dict(), epoch, step)
         backward(total)
-    for name in _generator_names(models):
+    for name in _GENERATORS:
         adam_step(models[name].params.values(), optims[name])
     return report
 
@@ -315,15 +311,15 @@ def discriminator_phase(
     The generators are frozen while they make the fakes, so the fakes carry
     no graph and every generator ``.grad`` stays untouched.
     """
-    with _frozen(models, _generator_names(models)):
+    with _frozen(models, _GENERATORS):
         fake_y = models["gen_xy"].forward(x, training=True, update_stats=False)
         fake_x = models["gen_yx"].forward(y, training=True, update_stats=False)
     total, values = separated_discriminator_losses(
-        x, y, fake_x, fake_y, depth, models, config.weights, config.gan_kind, training=True
+        x, y, fake_x, fake_y, depth, models, config.weights
     )
     _check_finite(values, epoch, step)
     backward(total)
-    for name in _discriminator_names(models):
+    for name in _DISCRIMINATORS:
         adam_step(models[name].params.values(), optims[name])
     return values
 
@@ -412,6 +408,7 @@ def _write_block(out: List[bytes], payload: bytes) -> None:
 
 
 def save_checkpoint(bundle: CheckpointBundle, path) -> None:
+    """Write the bundle; from version 2 on, a CRC32 of every byte before it ends the file."""
     out: List[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", bundle.version)]
     _write_block(out, json.dumps(bundle.config, sort_keys=True, separators=(",", ":")).encode())
     out.append(struct.pack("<I", len(bundle.tensors)))
@@ -428,6 +425,11 @@ def save_checkpoint(bundle: CheckpointBundle, path) -> None:
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         out.append(np.ascontiguousarray(arr, dtype=cast).tobytes())
     _write_block(out, json.dumps(bundle.state, sort_keys=True, separators=(",", ":")).encode())
+    if bundle.version >= 2:
+        crc = 0
+        for chunk in out:
+            crc = zlib.crc32(chunk, crc)
+        out.append(struct.pack("<I", crc))
     Path(path).write_bytes(b"".join(out))
 
 
@@ -461,31 +463,42 @@ def load_checkpoint(path) -> CheckpointBundle:
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r} (want {CHECKPOINT_MAGIC!r})")
     version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version} (reader supports "
+            f"{path}: unsupported checkpoint version {version} (reader supports 1 to "
             f"{CHECKPOINT_VERSION})"
         )
     try:
         config = json.loads(r.block("config JSON"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt config JSON: {exc}") from exc
     count = r.u32("tensor count")
     tensors: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.block("tensor name").decode()
+        name = r.block("tensor name").decode(errors="replace")
         tag, rank = struct.unpack("<BI", r.take(5, f"tensor {name!r} header"))
         if tag not in _DTYPE_TAGS:
             raise CheckpointError(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"tensor {name!r} dims"))
         dtype = _DTYPE_TAGS[tag]
-        nbytes = int(np.prod(dims)) * dtype.itemsize if rank else dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
         raw = r.take(nbytes, f"tensor {name!r} data")
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # e.g. a corrupt rank beyond numpy's limit
+            raise CheckpointError(f"{path}: tensor {name!r} has bad dims: {exc}") from exc
     try:
         state = json.loads(r.block("state JSON"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt state JSON: {exc}") from exc
+    if version >= 2:
+        computed = zlib.crc32(memoryview(r.buf)[: r.pos])
+        stored = r.u32("CRC32 trailer")
+        if stored != computed:
+            raise CheckpointError(
+                f"{path}: checksum mismatch (stored CRC32 {stored:08x}, computed "
+                f"{computed:08x}); the file is corrupt"
+            )
     if r.pos != len(r.buf):
         raise CheckpointError(
             f"{path}: {len(r.buf) - r.pos} unexpected trailing bytes after the state block"

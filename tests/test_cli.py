@@ -133,6 +133,50 @@ class TestTrain:
                        "--out", str(tmp_path / "r")) == 2
         assert "fg_attention" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"batch_size": "5"}, "batch_size"),
+            ({"generator": 5}, "generator"),
+            ({"generator": {"depth": "3"}}, "depth"),
+            ({"epochs": 1.5}, "epochs"),
+        ],
+    )
+    def test_mistyped_config_value_is_usage_error(self, dataset, tmp_path, capsys,
+                                                  override, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(override))
+        assert run_cli("train", "--desk", "--config", str(cfg), "--data", str(dataset),
+                       "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"gan_kind": "neg_log_likelihood"}, "gan_kind"),
+            ({"shared_region_discriminators": False}, "shared_region_discriminators"),
+            ({"discriminator": {"in_channels": 3}}, "in_channels"),
+        ],
+    )
+    def test_removed_mode_is_usage_error(self, dataset, tmp_path, capsys, override, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY_TRAIN, **override}))
+        assert run_cli("train", "--config", str(cfg), "--data", str(dataset),
+                       "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+
+    def test_retired_keys_at_kept_values_train(self, dataset, trained_run, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY_TRAIN, "gan_kind": "least_squares",
+                                   "shared_region_discriminators": True}))
+        out = tmp_path / "r"
+        assert run_cli("train", "--config", str(cfg), "--data", str(dataset),
+                       "--out", str(out)) == 0
+        assert (out / "ckpt_final.satt").read_bytes() == (
+            trained_run / "ckpt_final.satt").read_bytes()
+
     def test_malformed_json_is_usage_error(self, dataset, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")
@@ -186,6 +230,20 @@ class TestEnhance:
                        "--out", str(tmp_path / "o.ppm")) == 1
         err = capsys.readouterr().err
         assert "gen_xy" in err and "Traceback" not in err
+        assert not (tmp_path / "o.ppm").exists()
+
+    def test_corrupt_checkpoint_is_runtime_error(self, dataset, trained_run, tmp_path,
+                                                 capsys):
+        raw = bytearray((trained_run / "ckpt_final.satt").read_bytes())
+        weight = load_checkpoint(trained_run / "ckpt_final.satt").tensors[
+            "model/gen_xy/e1/conv/weight"]
+        raw[raw.index(weight.tobytes()) + weight.nbytes // 2] ^= 0x10
+        ckpt = tmp_path / "bad.satt"
+        ckpt.write_bytes(bytes(raw))
+        src = dataset / "distorted" / "00000.ppm"
+        assert run_cli("enhance", "--checkpoint", str(ckpt), "--in", str(src),
+                       "--out", str(tmp_path / "o.ppm")) == 1
+        assert "checksum mismatch" in capsys.readouterr().err
         assert not (tmp_path / "o.ppm").exists()
 
     def test_wrong_image_size_is_runtime_error(self, trained_run, tmp_path):
@@ -320,6 +378,13 @@ class TestGradCheck:
         monkeypatch.setitem(OP_CASES, "broken_detach", _broken_case)
         assert run_cli("grad-check", "--ops", "broken_detach") == 1
         assert "broken_detach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ops_arg", [",", "", " , "])
+    def test_empty_op_list_is_usage_error(self, capsys, ops_arg):
+        assert run_cli("grad-check", "--ops", ops_arg) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "none given" in captured.err
+        assert "within tolerance" not in captured.out
 
     def test_unknown_op_is_usage_error(self, capsys):
         assert run_cli("grad-check", "--ops", "nosuchop") == 2

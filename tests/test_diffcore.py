@@ -302,10 +302,6 @@ class TestReductions:
         got = ops.mean_abs(x).item()
         assert abs(got - np.float64(np.float32(0.1))) < 1e-9
 
-    def test_mean_softplus_value(self):
-        got = ops.mean_softplus(row([0.0, 100.0])).item()
-        assert got == pytest.approx((np.log(2.0) + 100.0) / 2.0, rel=1e-6)
-
     def test_concat_channels_layout_and_guard(self):
         a = t4(np.ones((1, 2, 2, 2)))
         b = t4(np.zeros((1, 3, 2, 2)))

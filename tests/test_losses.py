@@ -1,12 +1,10 @@
 """Loss algebra: worked scalar examples, report consistency, gradient structure."""
-import warnings
-
 import numpy as np
 import pytest
 
 from sepattn import losses, netarch
 from sepattn.diffcore import Tensor4, backward
-from sepattn.losses import GanLossKind, LossWeights
+from sepattn.losses import LossWeights
 
 # tiny models keep these tests fast; geometry is exercised in test_netarch
 GEN_CFG = netarch.GeneratorConfig(image_size=16, depth=2, base_channels=4, max_channels=8)
@@ -48,16 +46,6 @@ class TestGanAtoms:
     def test_confused_discriminator_costs_half(self):
         got = losses.gan_discriminator_loss(scores(0.5), scores(0.5))
         assert got.item() == pytest.approx(0.5)
-
-    def test_nll_generator_value(self):
-        # -log sigmoid(0) = log 2
-        assert losses.gan_generator_loss(
-            scores(0.0), GanLossKind.NEG_LOG_LIKELIHOOD
-        ).item() == pytest.approx(np.log(2.0), rel=1e-6)
-
-    def test_nll_discriminator_value(self):
-        got = losses.gan_discriminator_loss(scores(0.0), scores(0.0), GanLossKind.NEG_LOG_LIKELIHOOD)
-        assert got.item() == pytest.approx(2 * np.log(2.0), rel=1e-6)
 
 
 class TestCycle:
@@ -101,12 +89,6 @@ class TestLossWeights:
     def test_out_of_range_attention_rejected(self, mu):
         with pytest.raises(ValueError, match="fg_attention"):
             LossWeights(fg_attention=mu).validate()
-
-    def test_non_strict_warns_instead(self):
-        with warnings.catch_warnings(record=True) as got:
-            warnings.simplefilter("always")
-            LossWeights(bg_attention=0.2).validate(strict=False)
-        assert len(got) == 1 and "bg_attention" in str(got[0].message)
 
     def test_negative_cycle_weight_rejected(self):
         with pytest.raises(ValueError, match="cycle_weight"):
@@ -183,22 +165,11 @@ class TestFullGeneratorLoss:
         with pytest.raises(KeyError, match="disc_y"):
             losses.full_generator_loss(x, y, depth, {"gen_xy": None, "gen_yx": None, "disc_x": None})
 
-    def test_bare_candidate_discriminator_mode(self):
-        cfg = netarch.DiscriminatorConfig(
-            in_channels=3, num_layers=2, base_channels=4, image_size=16
-        )
-        models = small_models()
-        models["disc_x"] = netarch.Discriminator(cfg, seed=9)
-        models["disc_y"] = netarch.Discriminator(cfg, seed=10)
-        x, y, depth = batch(seed=4)
-        total, rep = losses.full_generator_loss(x, y, depth, models)
-        assert np.isfinite(total.item())
-
     def test_discriminator_buffers_untouched_in_generator_phase(self):
         models = small_models(seed=5)
         before = {k: v.copy() for k, v in models["disc_x"].buffers().items()}
         x, y, depth = batch(seed=5)
-        losses.full_generator_loss(x, y, depth, models, training=True)
+        losses.full_generator_loss(x, y, depth, models)
         for k, v in models["disc_x"].buffers().items():
             assert np.array_equal(v, before[k]), k
 
@@ -244,56 +215,3 @@ class TestSeparatedDiscriminatorLosses:
             p.tensor.grad is None for p in models["gen_xy"].params.values()
         )
 
-
-class TestPerRegionDiscriminators:
-    """Ablation mode: four independent discriminators, one per (domain, region)."""
-
-    def _models(self, seed=0):
-        models = {
-            "gen_xy": netarch.Generator(GEN_CFG, seed=seed),
-            "gen_yx": netarch.Generator(GEN_CFG, seed=seed + 1),
-        }
-        k = seed + 2
-        for dom in ("x", "y"):
-            for region in ("fg", "bg"):
-                models[f"disc_{dom}_{region}"] = netarch.Discriminator(DISC_CFG, seed=k)
-                k += 1
-        return models
-
-    def test_check_models_accepts_per_region_set(self):
-        losses.check_models(self._models())
-
-    def test_check_models_rejects_half_missing(self):
-        models = self._models()
-        del models["disc_x_bg"]
-        with pytest.raises(KeyError, match="disc_x_bg"):
-            losses.check_models(models)
-
-    def test_region_lookup_prefers_specific(self):
-        models = self._models()
-        assert losses.region_discriminator(models, "x", "fg") is models["disc_x_fg"]
-        shared = {"disc_x": object()}
-        assert losses.region_discriminator(shared, "x", "bg") is shared["disc_x"]
-
-    def test_generator_loss_runs_and_reaches_all_four(self):
-        models = self._models(seed=3)
-        x, y, depth = batch(seed=3)
-        total, report = losses.full_generator_loss(x, y, depth, models)
-        assert np.isfinite(total.item())
-        backward(total)
-        for dom in ("x", "y"):
-            for region in ("fg", "bg"):
-                disc = models[f"disc_{dom}_{region}"]
-                assert all(p.tensor.grad is not None for p in disc.params.values())
-
-    def test_discriminator_phase_in_ablation_mode(self):
-        models = self._models(seed=4)
-        x, y, depth = batch(seed=4)
-        fake_y = models["gen_xy"].forward(x, training=True).detach()
-        fake_x = models["gen_yx"].forward(y, training=True).detach()
-        total, vals = losses.separated_discriminator_losses(x, y, fake_x, fake_y, depth, models)
-        assert set(vals) == {"disc_x_fg", "disc_x_bg", "disc_y_fg", "disc_y_bg"}
-        backward(total)
-        assert all(
-            p.tensor.grad is not None for p in models["disc_y_bg"].params.values()
-        )

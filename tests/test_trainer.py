@@ -1,5 +1,7 @@
 """Training loop behavior: stepping, partition, determinism, checkpoints."""
 import hashlib
+import json
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from sepattn import datapipe, trainer
 from sepattn.datapipe import DegradeParams, generate_synthetic_dataset, load_pair
 from sepattn.diffcore import adam_step, backward
-from sepattn.losses import GanLossKind, full_generator_loss
+from sepattn.losses import full_generator_loss
 from sepattn.netarch import DiscriminatorConfig, GeneratorConfig
 from sepattn.trainer import (
     LOG_FIELDS,
@@ -80,8 +82,6 @@ class TestConfig:
         assert cfg.lr == 2e-4
         assert cfg.epochs == 100
         assert cfg.image_size == 256
-        assert cfg.gan_kind is GanLossKind.LEAST_SQUARES
-        assert cfg.shared_region_discriminators
         cfg.validate()
 
     def test_desk_profile(self):
@@ -103,9 +103,61 @@ class TestConfig:
             tiny_config(fg_attention=0.5).validate()
 
     def test_dict_round_trip(self):
-        cfg = tiny_config(gan_kind=GanLossKind.NEG_LOG_LIKELIHOOD)
+        cfg = tiny_config()
         back = TrainConfig.from_dict(cfg.to_dict())
         assert back == cfg
+
+    def test_retired_keys_at_kept_values_load_and_hash_the_same(self):
+        cfg = tiny_config()
+        doc = {**cfg.to_dict(), "gan_kind": "least_squares", "shared_region_discriminators": True}
+        back = TrainConfig.from_dict(doc)
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+        assert CheckpointBundle(1, doc, {}, {}).hash == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("gan_kind", "neg_log_likelihood"),
+            ("shared_region_discriminators", False),
+            ("shared_region_discriminators", 1),
+        ],
+    )
+    def test_retired_modes_rejected(self, key, value):
+        doc = {**tiny_config().to_dict(), key: value}
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(doc)
+
+    def test_bare_candidate_discriminator_rejected(self):
+        disc = DiscriminatorConfig(in_channels=3, num_layers=2, base_channels=4, image_size=16)
+        with pytest.raises(ValueError, match="in_channels"):
+            tiny_config(discriminator=disc).validate()
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ({"batch_size": "5"}, "batch_size"),
+            ({"epochs": 1.5}, "epochs"),
+            ({"seed": True}, "seed"),
+            ({"lr": "fast"}, "lr"),
+            ({"generator": 5}, "generator"),
+            ({"generator": None}, "generator"),
+            ({"generator": {"depth": "3"}}, "depth"),
+            ({"discriminator": {"image_size": 16.0}}, "image_size"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, override, key):
+        doc = {**tiny_config().to_dict(), **override}
+        with pytest.raises(ValueError, match=key):
+            TrainConfig.from_dict(doc)
+
+    def test_float_fields_take_ints(self):
+        doc = {**tiny_config().to_dict(), "lr": 1, "fg_attention": 7}
+        doc["discriminator"] = {**doc["discriminator"], "image_size": None}
+        cfg = TrainConfig.from_dict(doc)
+        assert type(cfg.lr) is float and cfg.lr == 1.0
+        assert config_hash(cfg) == config_hash(replace(cfg, fg_attention=7.0))
+        assert cfg.discriminator.image_size is None
 
     def test_unknown_keys_rejected(self):
         doc = tiny_config().to_dict()
@@ -131,12 +183,6 @@ class TestBuildModels:
     def test_shared_mode_names(self):
         models = build_models(tiny_config())
         assert sorted(models) == ["disc_x", "disc_y", "gen_xy", "gen_yx"]
-
-    def test_ablation_mode_names(self):
-        models = build_models(tiny_config(shared_region_discriminators=False))
-        assert sorted(models) == [
-            "disc_x_bg", "disc_x_fg", "disc_y_bg", "disc_y_fg", "gen_xy", "gen_yx",
-        ]
 
     def test_build_is_deterministic(self):
         a = build_models(tiny_config())
@@ -206,7 +252,7 @@ class TestTrainStep:
 
         # reference: the same backward with every discriminator parameter tracked
         ref_models = build_models(cfg)
-        total, _ = full_generator_loss(x, y, depth, ref_models, cfg.weights, cfg.gan_kind)
+        total, _ = full_generator_loss(x, y, depth, ref_models, cfg.weights)
         backward(total)
         want = {
             (n, pid): p.tensor.grad.copy()
@@ -255,7 +301,7 @@ class TestTrainStep:
         fake_y = ref_models["gen_xy"].forward(x, training=True, update_stats=False).detach()
         fake_x = ref_models["gen_yx"].forward(y, training=True, update_stats=False).detach()
         total, _ = trainer.separated_discriminator_losses(
-            x, y, fake_x, fake_y, depth, ref_models, cfg.weights, cfg.gan_kind, training=True
+            x, y, fake_x, fake_y, depth, ref_models, cfg.weights
         )
         backward(total)
         want = {
@@ -338,13 +384,6 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="empty"):
             train_step([], models, optims, cfg, 1, 1)
 
-    def test_ablation_mode_steps(self, tiny_dataset):
-        cfg = tiny_config(shared_region_discriminators=False)
-        models = build_models(cfg)
-        optims = build_optimizers(models, cfg.lr)
-        row = train_step(first_batch(tiny_dataset, cfg), models, optims, cfg, 1, 1)
-        assert all(np.isfinite(v) for v in row.values.values())
-
 
 class TestCheckpoint:
     def _live(self, cfg=None, steps=1, dataset=None):
@@ -404,6 +443,82 @@ class TestCheckpoint:
         save_checkpoint(bundle, p)
         with pytest.raises(CheckpointError, match="version 77"):
             load_checkpoint(p)
+
+    def test_file_ends_with_crc32_of_the_rest(self, tmp_path):
+        cfg, models, optims = self._live(steps=0)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
+        raw = p.read_bytes()
+        assert raw[4:8] == (2).to_bytes(4, "little")
+        assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
+
+    @staticmethod
+    def _tensor_data_spans(raw: bytes):
+        """(start, end) of every tensor's data bytes, walking the record layout."""
+        pos = 12 + int.from_bytes(raw[8:12], "little")
+        count = int.from_bytes(raw[pos : pos + 4], "little")
+        pos += 4
+        spans = []
+        for _ in range(count):
+            pos += 4 + int.from_bytes(raw[pos : pos + 4], "little")  # name
+            tag, rank = raw[pos], int.from_bytes(raw[pos + 1 : pos + 5], "little")
+            dims = np.frombuffer(raw[pos + 5 : pos + 5 + 4 * rank], "<u4")
+            pos += 5 + 4 * rank
+            nbytes = int(np.prod(dims)) * (4 if tag == 1 else 8)
+            spans.append((pos, pos + nbytes))
+            pos += nbytes
+        return spans
+
+    def test_bit_flips_in_tensor_data_rejected(self, tmp_path, tiny_dataset):
+        cfg, models, optims = self._live(dataset=tiny_dataset)
+        bundle = bundle_from_live(models, optims, cfg, 1, 1)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle, p)
+        raw = p.read_bytes()
+        spans = self._tensor_data_spans(raw)
+        assert len(spans) == len(bundle.tensors)
+        assert sum(e - s for s, e in spans) == sum(a.nbytes for a in bundle.tensors.values())
+        # every tensor, at its first, middle and last byte, low and high bit
+        for start, end in spans:
+            for pos in {start, (start + end) // 2, end - 1}:
+                for bit in (0, 7):
+                    bad = bytearray(raw)
+                    bad[pos] ^= 1 << bit
+                    p.write_bytes(bytes(bad))
+                    with pytest.raises(CheckpointError, match="checksum mismatch"):
+                        load_checkpoint(p)
+
+    def test_bit_flips_anywhere_rejected(self, tmp_path):
+        cfg, models, optims = self._live(steps=0)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
+        raw = p.read_bytes()
+        # headers, config and state JSON and the trailer too: never a silent load
+        for pos in sorted(set(range(64)) | set(np.linspace(0, len(raw) - 1, 200).astype(int))):
+            bad = bytearray(raw)
+            bad[pos] ^= 0x04
+            p.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(p)
+
+    def test_version_1_checkpoint_still_loads(self, tmp_path, tiny_dataset):
+        cfg, models, optims = self._live(dataset=tiny_dataset)
+        bundle = bundle_from_live(models, optims, cfg, 1, 1)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle, p)
+        raw = p.read_bytes()
+        # the version 1 layout: same records, no CRC32 trailer
+        v1 = tmp_path / "v1.satt"
+        v1.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-4])
+        back = load_checkpoint(v1)
+        assert back.version == 1
+        assert back.config == bundle.config and back.state == bundle.state
+        assert all(back.tensors[k].tobytes() == v.tobytes() for k, v in bundle.tensors.items())
+        assert model_bytes(load_generator(v1)) == model_bytes(models["gen_xy"])
+        with v1.open("ab") as f:
+            f.write(raw[-4:])
+        with pytest.raises(CheckpointError, match="4 unexpected trailing bytes"):
+            load_checkpoint(v1)
 
     def test_truncated_file(self, tmp_path):
         cfg, models, optims = self._live(steps=0)

@@ -17,10 +17,10 @@ import numpy as np
 
 from .datapipe import (
     DEGRADE_PRESETS,
-    DegradeParams,
     ImageRecord,
     LayoutError,
     ParseError,
+    degrade_params_from,
     generate_synthetic_dataset,
     load_depth,
     load_image,
@@ -71,22 +71,6 @@ def _load_config_doc(path: Optional[str]) -> dict:
     return doc
 
 
-def _degrade_params_from(doc: dict, preset: str) -> DegradeParams:
-    params = DEGRADE_PRESETS[preset]
-    if doc:
-        known = {f.name for f in dataclasses.fields(DegradeParams)}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown degrade keys {unknown}; known keys: {sorted(known)}")
-        merged = dataclasses.asdict(params)
-        merged.update(doc)
-        merged["beta"] = tuple(merged["beta"])
-        merged["backscatter"] = tuple(merged["backscatter"])
-        params = DegradeParams(**merged)
-    params.validate()
-    return params
-
-
 def _merge_train_doc(doc: dict, desk: bool) -> TrainConfig:
     """Layer a config-file document over the base profile (file wins)."""
     base = desk_config() if desk else TrainConfig()
@@ -123,7 +107,7 @@ def cmd_generate_data(args) -> int:
         if doc:
             # shared config files may carry training keys; still validate them
             _merge_train_doc(doc, desk=False)
-        params = _degrade_params_from(degrade_doc, args.preset)
+        params = degrade_params_from(degrade_doc, args.preset)
         if args.count <= 0:
             raise ValueError(f"--count must be positive, got {args.count}")
         if args.size < 8:

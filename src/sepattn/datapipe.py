@@ -21,7 +21,7 @@ import numpy as np
 
 from .attnmask import validate_depth
 from .diffcore import Tensor4
-from .util import map_units
+from .util import map_units, typed_fields
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 _WSPACE = b" \t\r\n"
@@ -267,6 +267,17 @@ DEGRADE_PRESETS: Dict[str, DegradeParams] = {
     "murky": DegradeParams(beta=(2.6, 1.5, 0.8), backscatter=(15.0, 130.0, 150.0),
                            contrast_gain=0.55, noise_sigma=3.0),
 }
+
+
+def degrade_params_from(doc: dict, preset: str = "default") -> DegradeParams:
+    """``preset`` with a config file's ``degrade`` section laid over it.
+
+    The section's values are type-checked like the training config's, so a
+    mistyped or unknown key is a ValueError naming it; the result is validated.
+    """
+    params = replace(DEGRADE_PRESETS[preset], **typed_fields(DegradeParams, doc, "degrade"))
+    params.validate()
+    return params
 
 
 def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> ImageRecord:

@@ -311,7 +311,6 @@ class MetricsReport:
 def _score_one(
     item: Tuple[str, Optional[np.ndarray], np.ndarray],
     metrics: Sequence[str],
-    ssim_mode: str,
 ) -> Dict[str, float]:
     id_, ref, cand = item
     row: Dict[str, float] = {}
@@ -319,7 +318,7 @@ def _score_one(
         if m == "psnr":
             row[m] = psnr(ref, cand)
         elif m == "ssim":
-            row[m] = ssim(ref, cand, mode=ssim_mode)
+            row[m] = ssim(ref, cand)
         elif m == "uiqm":
             row[m] = uiqm(cand)
     return row
@@ -328,7 +327,6 @@ def _score_one(
 def batch_report(
     items: Iterable[Tuple[str, Optional[np.ndarray], np.ndarray]],
     metrics: Sequence[str] = KNOWN_METRICS,
-    ssim_mode: str = "global",
 ) -> MetricsReport:
     """Score (id, reference, candidate) triples.
 
@@ -351,5 +349,5 @@ def batch_report(
             )
     # aggregates must not depend on arrival order
     items.sort(key=lambda it: it[0])
-    rows = map_units(lambda it: _score_one(it, metrics, ssim_mode), items)
+    rows = map_units(lambda it: _score_one(it, metrics), items)
     return MetricsReport(metric_names=metrics, ids=[it[0] for it in items], rows=rows)

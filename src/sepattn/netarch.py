@@ -1,11 +1,18 @@
 """Network builders: skip-connected encoder/decoder generator, patch discriminator.
 
+One fixed recipe, after CycleGAN's: only the depth and the channel widths are
+configurable, and each model pins the square input size it is built for.
+Every down- and up-sampling stage has stride 2 and padding 1, so with the
+generator's 4x4 kernels and the discriminator's 3x3 ones each stage halves (or
+doubles) the image exactly.
+
 The generator halves spatial resolution at every encoder stage
-(conv k=4 s=2 -> batch norm -> leaky relu), doubles it back with transposed
+(conv -> batch norm -> leaky relu), doubles it back with transposed
 convolutions, concatenates mirrored encoder activations onto the decoder
-stream, and maps to [-1, 1] through a final tanh. The discriminator stacks
-stride-2 conv/bn/leaky-relu blocks and projects to a one-channel patch map
-with a 1x1 convolution, so each output score judges one receptive field.
+stream, and maps to [-1, 1] through a final tanh. The discriminator scores a
+channel-concatenated (reference, candidate) pair: it stacks conv/bn/leaky-relu
+blocks and projects to a one-channel patch map with a 1x1 convolution, so each
+output score judges one receptive field.
 
 Convolutions followed by a norm stage carry no bias (the norm's beta subsumes
 it); only the discriminator's final projection keeps one.
@@ -41,57 +48,44 @@ __all__ = [
 ]
 
 WEIGHT_SIGMA = 0.02
+IMAGE_CHANNELS = 3  # RGB in, RGB out
+PAIR_CHANNELS = 6  # a channel-concatenated (reference, candidate) pair
+GEN_KERNEL = 4
+DISC_KERNEL = 3
+PADDING = 1  # with stride 2, either kernel halves an even size exactly
+LEAKY_SLOPE = 0.2
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.1
 
 
 class ConfigError(ValueError):
     """A network config violates a structural constraint (message says which)."""
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _halving_padding(kernel: int) -> int:
-    # stride-2 padding that makes even dims halve exactly:
-    # even k needs 2p = k - 2; odd k needs p = (k - 1) / 2
-    return (kernel - 2) // 2 if kernel % 2 == 0 else (kernel - 1) // 2
+def _check_sizes(image_size: int, base_channels: int, max_channels: int) -> None:
+    if not (image_size >= 1 and image_size & (image_size - 1) == 0):
+        raise ConfigError(f"image_size must be a power of two, got {image_size}")
+    if base_channels < 1 or max_channels < base_channels:
+        raise ConfigError(
+            f"need 1 <= base_channels <= max_channels, got {base_channels}/{max_channels}"
+        )
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    image_size: int = 256
-    in_channels: int = 3
     depth: int = 5
     base_channels: int = 16
     max_channels: int = 256
-    kernel: int = 4
-    leaky_slope: float = 0.2
-    bn_epsilon: float = 1e-5
-    bn_momentum: float = 0.1
 
-    def validate(self) -> None:
-        if not _is_pow2(self.image_size):
-            raise ConfigError(f"image_size must be a power of two, got {self.image_size}")
+    def validate(self, image_size: int) -> None:
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.image_size < (1 << self.depth):
+        _check_sizes(image_size, self.base_channels, self.max_channels)
+        if image_size < (1 << self.depth):
             raise ConfigError(
-                f"image_size {self.image_size} cannot be halved {self.depth} times "
+                f"image_size {image_size} cannot be halved {self.depth} times "
                 f"(needs >= {1 << self.depth})"
             )
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.base_channels < 1 or self.max_channels < self.base_channels:
-            raise ConfigError(
-                f"need 1 <= base_channels <= max_channels, got "
-                f"{self.base_channels}/{self.max_channels}"
-            )
-        if self.kernel % 2 != 0 or self.kernel < 2:
-            raise ConfigError(
-                f"generator kernel must be even and >= 2 for exact halving, got {self.kernel}"
-            )
-        if not (0.0 < self.leaky_slope < 1.0):
-            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
 
     def encoder_channels(self) -> List[int]:
         return [min(self.base_channels << i, self.max_channels) for i in range(self.depth)]
@@ -99,58 +93,35 @@ class GeneratorConfig:
 
 @dataclass(frozen=True)
 class DiscriminatorConfig:
-    in_channels: int = 6  # a channel-concatenated (reference, candidate) pair
     num_layers: int = 2
     base_channels: int = 64
     max_channels: int = 512
-    kernel: int = 3
-    stride: int = 2
-    leaky_slope: float = 0.2
-    bn_epsilon: float = 1e-5
-    bn_momentum: float = 0.1
-    image_size: Optional[int] = None  # set to validate patch-map collapse at build time
 
-    def validate(self) -> None:
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
+    def validate(self, image_size: int) -> None:
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.base_channels < 1 or self.max_channels < self.base_channels:
+        _check_sizes(image_size, self.base_channels, self.max_channels)
+        if image_size < (1 << self.num_layers):
             raise ConfigError(
-                f"need 1 <= base_channels <= max_channels, got "
-                f"{self.base_channels}/{self.max_channels}"
+                f"patch map collapses for {image_size}-px input with {self.num_layers} "
+                f"stride-2 layers (needs >= {1 << self.num_layers})"
             )
-        if self.kernel < 2:
-            raise ConfigError(f"kernel must be >= 2, got {self.kernel}")
-        if self.stride not in (1, 2):
-            raise ConfigError(f"stride must be 1 or 2, got {self.stride}")
-        if not (0.0 < self.leaky_slope < 1.0):
-            raise ConfigError(f"leaky_slope must lie in (0, 1), got {self.leaky_slope}")
-        if self.image_size is not None:
-            if not _is_pow2(self.image_size):
-                raise ConfigError(f"image_size must be a power of two, got {self.image_size}")
-            ph, pw = self.patch_map_hw((self.image_size, self.image_size))
-            if ph < 1 or pw < 1:
-                raise ConfigError(
-                    f"patch map collapses to {ph}x{pw} for {self.image_size}-px input "
-                    f"with {self.num_layers} stride-{self.stride} layers"
-                )
 
     def conv_channels(self) -> List[int]:
         return [min(self.base_channels << i, self.max_channels) for i in range(self.num_layers)]
 
     def patch_map_hw(self, image_hw: Tuple[int, int]) -> Tuple[int, int]:
         h, w = image_hw
-        if self.stride == 1:
-            return h, w
         return h >> self.num_layers, w >> self.num_layers
 
 
 class Model:
     """Parameters, norm-stat buffers, and a forward pass, addressable by id."""
 
-    def __init__(self, config):
+    def __init__(self, config, image_size: int):
+        config.validate(image_size)
         self.config = config
+        self.image_size = image_size
         self.params: Dict[str, Parameter] = {}
         self._stats: Dict[str, RunningStats] = {}
 
@@ -161,10 +132,10 @@ class Model:
             raise ValueError(f"duplicate parameter id {pid!r}")
         self.params[pid] = Parameter(pid, Tensor4(data.astype(DTYPE)))
 
-    def _add_bn(self, stage: str, channels: int, momentum: float) -> None:
+    def _add_bn(self, stage: str, channels: int) -> None:
         self._add_param(f"{stage}/bn/gamma", np.ones((1, channels, 1, 1), DTYPE))
         self._add_param(f"{stage}/bn/beta", np.zeros((1, channels, 1, 1), DTYPE))
-        self._stats[stage] = RunningStats.create(channels, momentum)
+        self._stats[stage] = RunningStats.create(channels, BN_MOMENTUM)
 
     def buffers(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
@@ -204,6 +175,28 @@ class Model:
                 raise ShapeError(f"buffer {bid!r}: stored {arr.shape} vs model {target.shape}")
             target[:] = arr  # in place: RunningStats objects alias these
 
+    # -- forward pieces shared by both networks -------------------------------
+
+    def _bn_leaky(self, x: Tensor4, stage: str, training: bool, update_stats: bool) -> Tensor4:
+        x = batch_norm(
+            x,
+            self.params[f"{stage}/bn/gamma"].tensor,
+            self.params[f"{stage}/bn/beta"].tensor,
+            self._stats[stage],
+            training=training,
+            epsilon=BN_EPSILON,
+            update_stats=update_stats,
+        )
+        return leaky_relu(x, LEAKY_SLOPE)
+
+    def _check_input(self, x: Tensor4, channels: int, what: str) -> None:
+        n, c, h, w = x.shape
+        if c != channels:
+            raise ShapeError(f"{what} expects {channels} channels, got input {x.shape}")
+        size = self.image_size
+        if (h, w) != (size, size):
+            raise ShapeError(f"{what} is built for {size}x{size} inputs, got {h}x{w}")
+
 
 def parameter_count(model: Model) -> int:
     return int(sum(p.tensor.data.size for p in model.params.values()))
@@ -212,18 +205,17 @@ def parameter_count(model: Model) -> int:
 class Generator(Model):
     """Skip-connected halve/double generator mapping images to images."""
 
-    def __init__(self, config: GeneratorConfig, seed: int = 0):
-        config.validate()
-        super().__init__(config)
+    def __init__(self, config: GeneratorConfig, image_size: int, seed: int = 0):
+        super().__init__(config, image_size)
         rng = np.random.default_rng(seed)
-        k = config.kernel
+        k = GEN_KERNEL
         chans = config.encoder_channels()
-        prev = config.in_channels
+        prev = IMAGE_CHANNELS
         for i, ch in enumerate(chans, start=1):
             self._add_param(
                 f"e{i}/conv/weight", rng.normal(0.0, WEIGHT_SIGMA, (ch, prev, k, k))
             )
-            self._add_bn(f"e{i}", ch, config.bn_momentum)
+            self._add_bn(f"e{i}", ch)
             prev = ch
         depth = config.depth
         for j in range(1, depth + 1):
@@ -231,12 +223,12 @@ class Generator(Model):
             # with the mirrored encoder activation (none for the first stage)
             dec_in = chans[depth - 1] if j == 1 else chans[depth - j] * 2
             final = j == depth
-            dec_out = config.in_channels if final else chans[depth - 1 - j]
+            dec_out = IMAGE_CHANNELS if final else chans[depth - 1 - j]
             self._add_param(
                 f"d{j}/tconv/weight", rng.normal(0.0, WEIGHT_SIGMA, (dec_in, dec_out, k, k))
             )
             if not final:
-                self._add_bn(f"d{j}", dec_out, config.bn_momentum)
+                self._add_bn(f"d{j}", dec_out)
 
     def forward(
         self,
@@ -244,50 +236,27 @@ class Generator(Model):
         training: bool = False,
         update_stats: Optional[bool] = None,
     ) -> Tensor4:
-        cfg: GeneratorConfig = self.config
-        n, c, h, w = x.shape
-        if c != cfg.in_channels:
-            raise ShapeError(f"generator expects {cfg.in_channels} channels, got input {x.shape}")
-        if (h, w) != (cfg.image_size, cfg.image_size):
-            raise ShapeError(
-                f"generator is built for {cfg.image_size}x{cfg.image_size} inputs, got {h}x{w}"
-            )
-        pad = _halving_padding(cfg.kernel)
+        self._check_input(x, IMAGE_CHANNELS, "generator")
+        depth = self.config.depth
         up = update_stats if update_stats is not None else training
 
         skips: List[Tensor4] = []
         hcur = x
-        for i in range(1, cfg.depth + 1):
-            hcur = conv2d(hcur, self.params[f"e{i}/conv/weight"].tensor, None, stride=2, padding=pad)
-            hcur = batch_norm(
-                hcur,
-                self.params[f"e{i}/bn/gamma"].tensor,
-                self.params[f"e{i}/bn/beta"].tensor,
-                self._stats[f"e{i}"],
-                training=training,
-                epsilon=cfg.bn_epsilon,
-                update_stats=up,
+        for i in range(1, depth + 1):
+            hcur = conv2d(
+                hcur, self.params[f"e{i}/conv/weight"].tensor, None, stride=2, padding=PADDING
             )
-            hcur = leaky_relu(hcur, cfg.leaky_slope)
+            hcur = self._bn_leaky(hcur, f"e{i}", training, up)
             skips.append(hcur)
 
-        for j in range(1, cfg.depth + 1):
+        for j in range(1, depth + 1):
             hcur = conv_transpose2d(
-                hcur, self.params[f"d{j}/tconv/weight"].tensor, stride=2, padding=pad
+                hcur, self.params[f"d{j}/tconv/weight"].tensor, stride=2, padding=PADDING
             )
-            if j == cfg.depth:
+            if j == depth:
                 return tanh(hcur)
-            hcur = batch_norm(
-                hcur,
-                self.params[f"d{j}/bn/gamma"].tensor,
-                self.params[f"d{j}/bn/beta"].tensor,
-                self._stats[f"d{j}"],
-                training=training,
-                epsilon=cfg.bn_epsilon,
-                update_stats=up,
-            )
-            hcur = leaky_relu(hcur, cfg.leaky_slope)
-            mirror = cfg.depth - j  # encoder stage index (1-based) to merge in
+            hcur = self._bn_leaky(hcur, f"d{j}", training, up)
+            mirror = depth - j  # encoder stage index (1-based) to merge in
             hcur = concat_channels(hcur, skips[mirror - 1])
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -295,17 +264,16 @@ class Generator(Model):
 class Discriminator(Model):
     """Stride-2 conv stack scoring one value per image patch."""
 
-    def __init__(self, config: DiscriminatorConfig, seed: int = 0):
-        config.validate()
-        super().__init__(config)
+    def __init__(self, config: DiscriminatorConfig, image_size: int, seed: int = 0):
+        super().__init__(config, image_size)
         rng = np.random.default_rng(seed)
-        k = config.kernel
-        prev = config.in_channels
+        k = DISC_KERNEL
+        prev = PAIR_CHANNELS
         for i, ch in enumerate(config.conv_channels(), start=1):
             self._add_param(
                 f"c{i}/conv/weight", rng.normal(0.0, WEIGHT_SIGMA, (ch, prev, k, k))
             )
-            self._add_bn(f"c{i}", ch, config.bn_momentum)
+            self._add_bn(f"c{i}", ch)
             prev = ch
         self._add_param("proj/conv/weight", rng.normal(0.0, WEIGHT_SIGMA, (1, prev, 1, 1)))
         self._add_param("proj/conv/bias", np.zeros((1, 1, 1, 1), DTYPE))
@@ -316,42 +284,14 @@ class Discriminator(Model):
         training: bool = False,
         update_stats: Optional[bool] = None,
     ) -> Tensor4:
-        cfg: DiscriminatorConfig = self.config
-        n, c, h, w = pair.shape
-        if c != cfg.in_channels:
-            raise ShapeError(
-                f"discriminator expects {cfg.in_channels} channels, got input {pair.shape}"
-            )
-        if cfg.image_size is not None and (h, w) != (cfg.image_size, cfg.image_size):
-            raise ShapeError(
-                f"discriminator is built for {cfg.image_size}x{cfg.image_size} inputs, "
-                f"got {h}x{w}"
-            )
-        pad = _halving_padding(cfg.kernel)
+        self._check_input(pair, PAIR_CHANNELS, "discriminator")
         up = update_stats if update_stats is not None else training
-        if cfg.stride == 2:
-            # the patch-map geometry promises dims / 2^num_layers exactly
-            div = 1 << cfg.num_layers
-            if h % div or w % div or h < div or w < div:
-                raise ShapeError(
-                    f"patch map collapses: {h}x{w} input cannot halve exactly through "
-                    f"{cfg.num_layers} stride-2 layers (needs dims divisible by {div})"
-                )
         hcur = pair
-        for i in range(1, cfg.num_layers + 1):
+        for i in range(1, self.config.num_layers + 1):
             hcur = conv2d(
-                hcur, self.params[f"c{i}/conv/weight"].tensor, None, stride=cfg.stride, padding=pad
+                hcur, self.params[f"c{i}/conv/weight"].tensor, None, stride=2, padding=PADDING
             )
-            hcur = batch_norm(
-                hcur,
-                self.params[f"c{i}/bn/gamma"].tensor,
-                self.params[f"c{i}/bn/beta"].tensor,
-                self._stats[f"c{i}"],
-                training=training,
-                epsilon=cfg.bn_epsilon,
-                update_stats=up,
-            )
-            hcur = leaky_relu(hcur, cfg.leaky_slope)
+            hcur = self._bn_leaky(hcur, f"c{i}", training, up)
         return conv2d(
             hcur,
             self.params["proj/conv/weight"].tensor,

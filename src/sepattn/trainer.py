@@ -15,9 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
-import numbers
 import struct
-import typing
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -27,6 +25,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import netarch
 from .datapipe import (
     DatasetManifest,
     ImageRecord,
@@ -39,6 +38,7 @@ from .diffcore import AdamState, Tensor4, adam_step, backward
 from .losses import LossReport, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
+from .util import typed_fields
 
 __all__ = [
     "LOG_HEADER",
@@ -78,8 +78,17 @@ _MODEL_SEED_OFFSETS = {"gen_xy": 0, "gen_yx": 1, "disc_x": 2, "disc_y": 3}
 _GENERATORS = ("gen_xy", "gen_yx")
 _DISCRIMINATORS = ("disc_x", "disc_y")
 
-# keys of older configs whose one remaining value is implied
-_RETIRED_KEYS = {"gan_kind": "least_squares", "shared_region_discriminators": True}
+# keys of older configs, per section, and the values they may still hold; a
+# nested image_size may also hold the config's own top-level image_size
+_FIXED_LAYERS = {"leaky_slope": (netarch.LEAKY_SLOPE,), "bn_epsilon": (netarch.BN_EPSILON,),
+                 "bn_momentum": (netarch.BN_MOMENTUM,)}
+_RETIRED_KEYS = {
+    "config": {"gan_kind": ("least_squares",), "shared_region_discriminators": (True,)},
+    "generator": {"in_channels": (netarch.IMAGE_CHANNELS,), "kernel": (netarch.GEN_KERNEL,),
+                  "image_size": (), **_FIXED_LAYERS},
+    "discriminator": {"in_channels": (netarch.PAIR_CHANNELS,), "kernel": (netarch.DISC_KERNEL,),
+                      "stride": (2,), "image_size": (None,), **_FIXED_LAYERS},
+}
 
 
 class CheckpointError(ValueError):
@@ -110,12 +119,6 @@ class TrainConfig:
     def weights(self) -> LossWeights:
         return LossWeights(self.cycle_weight, self.fg_attention, self.bg_attention)
 
-    def generator_config(self) -> GeneratorConfig:
-        return replace(self.generator, image_size=self.image_size, in_channels=3)
-
-    def discriminator_config(self) -> DiscriminatorConfig:
-        return replace(self.discriminator, image_size=self.image_size)
-
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
@@ -127,61 +130,40 @@ class TrainConfig:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.discriminator.in_channels != 6:
-            raise ValueError(
-                "discriminator.in_channels must be 6 (a reference, candidate pair), "
-                f"got {self.discriminator.in_channels}"
-            )
         self.weights.validate()
-        self.generator_config().validate()
-        self.discriminator_config().validate()
+        self.generator.validate(self.image_size)
+        self.discriminator.validate(self.image_size)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        for key, kept in _RETIRED_KEYS.items():
-            if key in doc:
-                value = doc.pop(key)
-                if type(value) is not type(kept) or value != kept:
-                    raise ValueError(f"{key} = {value!r} is no longer supported; only {kept!r} is")
-        return TrainConfig(**_typed_fields(TrainConfig, doc, "config"))
+        """Typed config from a document; retired keys at their kept values are dropped."""
+        doc = _drop_retired(doc, "config")
+        image_size = doc.get("image_size", TrainConfig.image_size)
+        for section in ("generator", "discriminator"):
+            if isinstance(doc.get(section), dict):
+                doc[section] = _drop_retired(doc[section], section, image_size)
+        return TrainConfig(**typed_fields(TrainConfig, doc, "config"))
 
 
-def _typed_fields(cls, doc: dict, where: str) -> dict:
-    """``doc``'s values checked against the types of ``cls``'s fields.
+def _drop_retired(doc: dict, section: str, image_size=None) -> dict:
+    """``doc`` without ``section``'s retired keys; each must hold a kept value.
 
-    int fields reject bools and floats; float fields also take ints (stored as
-    float); a nested config must be an object. A mismatch is a ValueError
-    naming the key.
+    Any other value is a ValueError naming ``section.key``.
     """
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(doc) - set(hints))
-    if unknown:
-        raise ValueError(f"unknown {where} keys {unknown}; known keys: {sorted(hints)}")
-    out = {}
-    for key, value in doc.items():
-        want = hints[key]
-        if typing.get_origin(want) is Union:  # Optional[int]
-            if value is None:
-                out[key] = None
-                continue
-            (want,) = (t for t in typing.get_args(want) if t is not type(None))
-        if dataclasses.is_dataclass(want):
-            if isinstance(value, dict):
-                value = want(**_typed_fields(want, value, key))
-            elif not isinstance(value, want):
-                raise ValueError(f"{where} key {key!r} must be an object, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(
-            value, numbers.Integral if want is int else numbers.Real
-        ):
-            raise ValueError(f"{where} key {key!r} must be {want.__name__}, got {value!r}")
-        else:
-            value = want(value)
-        out[key] = value
-    return out
+    doc = dict(doc)
+    for key, kept in _RETIRED_KEYS[section].items():
+        if key in doc:
+            value = doc.pop(key)
+            if key == "image_size":
+                kept = (image_size,) + kept
+            if not any(type(value) is type(k) and value == k for k in kept):
+                name = key if section == "config" else f"{section}.{key}"
+                allowed = " or ".join(repr(k) for k in kept)
+                raise ValueError(f"{name} = {value!r} is no longer supported; only {allowed} is")
+    return doc
 
 
 def desk_config(**overrides) -> TrainConfig:
@@ -191,8 +173,8 @@ def desk_config(**overrides) -> TrainConfig:
         image_size=64,
         seed=7,
         checkpoint_every=10,
-        generator=GeneratorConfig(image_size=64, depth=3, base_channels=16),
-        discriminator=DiscriminatorConfig(num_layers=3, base_channels=16, image_size=64),
+        generator=GeneratorConfig(depth=3, base_channels=16),
+        discriminator=DiscriminatorConfig(num_layers=3, base_channels=16),
     )
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -216,15 +198,13 @@ def config_hash(config: TrainConfig) -> str:
 
 def build_models(config: TrainConfig) -> Dict[str, Model]:
     config.validate()
-    gen_cfg = config.generator_config()
-    disc_cfg = config.discriminator_config()
     models: Dict[str, Model] = {}
     for name, offset in _MODEL_SEED_OFFSETS.items():
         seed = int(np.random.SeedSequence([config.seed, offset]).generate_state(1)[0])
         if name in _GENERATORS:
-            models[name] = Generator(gen_cfg, seed=seed)
+            models[name] = Generator(config.generator, config.image_size, seed=seed)
         else:
-            models[name] = Discriminator(disc_cfg, seed=seed)
+            models[name] = Discriminator(config.discriminator, config.image_size, seed=seed)
     return models
 
 
@@ -408,8 +388,13 @@ def _write_block(out: List[bytes], payload: bytes) -> None:
 
 
 def save_checkpoint(bundle: CheckpointBundle, path) -> None:
-    """Write the bundle; from version 2 on, a CRC32 of every byte before it ends the file."""
-    out: List[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", bundle.version)]
+    """Write the bundle; a CRC32 of every byte before it ends the file.
+
+    The layout is always the current one, so a bundle read from an older
+    version is written as ``CHECKPOINT_VERSION``.
+    """
+    version = max(bundle.version, CHECKPOINT_VERSION)
+    out: List[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", version)]
     _write_block(out, json.dumps(bundle.config, sort_keys=True, separators=(",", ":")).encode())
     out.append(struct.pack("<I", len(bundle.tensors)))
     for name in sorted(bundle.tensors):
@@ -425,11 +410,10 @@ def save_checkpoint(bundle: CheckpointBundle, path) -> None:
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         out.append(np.ascontiguousarray(arr, dtype=cast).tobytes())
     _write_block(out, json.dumps(bundle.state, sort_keys=True, separators=(",", ":")).encode())
-    if bundle.version >= 2:
-        crc = 0
-        for chunk in out:
-            crc = zlib.crc32(chunk, crc)
-        out.append(struct.pack("<I", crc))
+    crc = 0
+    for chunk in out:
+        crc = zlib.crc32(chunk, crc)
+    out.append(struct.pack("<I", crc))
     Path(path).write_bytes(b"".join(out))
 
 
@@ -550,7 +534,7 @@ def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
     bundle = checkpoint if isinstance(checkpoint, CheckpointBundle) else load_checkpoint(checkpoint)
     config = TrainConfig.from_dict(bundle.config)
     config.validate()
-    gen = Generator(config.generator_config())
+    gen = Generator(config.generator, config.image_size)
     _load_model(bundle, "gen_xy", gen)
     return gen
 
@@ -692,7 +676,6 @@ def evaluate(
     manifest: DatasetManifest,
     split: str = "test",
     metric_names: Sequence[str] = KNOWN_METRICS,
-    ssim_mode: str = "global",
 ) -> EvalResult:
     """Score generator outputs against clean targets on a manifest split.
 
@@ -716,6 +699,6 @@ def evaluate(
         model_items.append((i, pair.clean.pixels, enhance(pair.distorted).pixels))
         input_items.append((i, pair.clean.pixels, pair.distorted.pixels))
     return EvalResult(
-        model=batch_report(model_items, metric_names, ssim_mode),
-        input_baseline=batch_report(input_items, metric_names, ssim_mode),
+        model=batch_report(model_items, metric_names),
+        input_baseline=batch_report(input_items, metric_names),
     )

@@ -1,7 +1,10 @@
 """Small shared helpers."""
 from __future__ import annotations
 
+import dataclasses
+import numbers
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, List
 
@@ -34,3 +37,43 @@ def map_units(fn: Callable, units: Iterable) -> List:
         return [fn(u) for u in units]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, units))
+
+
+def typed_fields(cls, doc: dict, where: str) -> dict:
+    """``doc``'s values checked against the types of dataclass ``cls``'s fields.
+
+    int fields reject bools and floats; float fields also take ints (stored as
+    float); a fixed-length tuple field such as ``Tuple[float, float, float]``
+    takes a list of exactly that many reals; a nested dataclass must be an
+    object. Unknown keys, and any mismatch, are a ValueError naming the key.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {doc!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known keys: {sorted(hints)}")
+    out = {}
+    for key, value in doc.items():
+        want = hints[key]
+        if dataclasses.is_dataclass(want):
+            value = want(**typed_fields(want, value, key))
+        elif typing.get_origin(want) is tuple:
+            items = typing.get_args(want)
+            if not isinstance(value, (list, tuple)) or len(value) != len(items):
+                raise ValueError(
+                    f"{where} key {key!r} must be a list of {len(items)} numbers, got {value!r}"
+                )
+            value = tuple(_typed_value(t, v, where, key) for t, v in zip(items, value))
+        else:
+            value = _typed_value(want, value, where, key)
+        out[key] = value
+    return out
+
+
+def _typed_value(want: type, value, where: str, key: str):
+    if isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if want is int else numbers.Real
+    ):
+        raise ValueError(f"{where} key {key!r} must be {want.__name__}, got {value!r}")
+    return want(value)

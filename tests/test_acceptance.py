@@ -171,15 +171,15 @@ def test_4_loss_algebra_worked_values_and_gradient_decomposition():
     # grad(total) = mu * grad(L_fg) + alpha * grad(L_bg), per generator param
     from sepattn import netarch
 
-    gen_cfg = netarch.GeneratorConfig(image_size=16, depth=2, base_channels=4, max_channels=8)
-    disc_cfg = netarch.DiscriminatorConfig(num_layers=2, base_channels=4, image_size=16)
+    gen_cfg = netarch.GeneratorConfig(depth=2, base_channels=4, max_channels=8)
+    disc_cfg = netarch.DiscriminatorConfig(num_layers=2, base_channels=4)
     worst_rel = 0.0
     for seed in (0, 1, 2):
         models = {
-            "gen_xy": netarch.Generator(gen_cfg, seed=seed),
-            "gen_yx": netarch.Generator(gen_cfg, seed=seed + 1),
-            "disc_x": netarch.Discriminator(disc_cfg, seed=seed + 2),
-            "disc_y": netarch.Discriminator(disc_cfg, seed=seed + 3),
+            "gen_xy": netarch.Generator(gen_cfg, 16, seed=seed),
+            "gen_yx": netarch.Generator(gen_cfg, 16, seed=seed + 1),
+            "disc_x": netarch.Discriminator(disc_cfg, 16, seed=seed + 2),
+            "disc_y": netarch.Discriminator(disc_cfg, 16, seed=seed + 3),
         }
         g = np.random.default_rng(seed)
         x = Tensor4(g.uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32))
@@ -362,8 +362,8 @@ def test_9_phase_updates_touch_only_their_own_parameters(tmp_path):
         epochs=1,
         image_size=16,
         seed=9,
-        generator=GeneratorConfig(image_size=16, depth=2, base_channels=4, max_channels=8),
-        discriminator=DiscriminatorConfig(num_layers=2, base_channels=4, image_size=16),
+        generator=GeneratorConfig(depth=2, base_channels=4, max_channels=8),
+        discriminator=DiscriminatorConfig(num_layers=2, base_channels=4),
     )
     models = build_models(config)
     optims = build_optimizers(models, config.lr)

@@ -32,8 +32,8 @@ TINY_TRAIN = {
     "image_size": 16,
     "seed": 3,
     "checkpoint_every": 1,
-    "generator": {"image_size": 16, "depth": 2, "base_channels": 4, "max_channels": 8},
-    "discriminator": {"num_layers": 2, "base_channels": 4, "image_size": 16},
+    "generator": {"depth": 2, "base_channels": 4, "max_channels": 8},
+    "discriminator": {"num_layers": 2, "base_channels": 4},
 }
 
 
@@ -98,6 +98,36 @@ class TestGenerateData:
                        "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
         assert "fog" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "degrade, key",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"noise_sigma": "2"}, "noise_sigma"),
+            ({"contrast_gain": None}, "contrast_gain"),
+            ({"beta": "abc"}, "beta"),
+            ({"beta": [1.8, 0.9]}, "beta"),
+            ({"backscatter": [20, 120, "x"]}, "backscatter"),
+            (5, "degrade"),
+        ],
+    )
+    def test_mistyped_degrade_value_is_usage_error(self, tmp_path, capsys, degrade, key):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"degrade": degrade}))
+        assert run_cli("generate-data", "--count", "3", "--size", "16",
+                       "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "d").exists()
+
+    def test_degrade_lists_take_ints(self, tmp_path):
+        ints, floats = tmp_path / "i.json", tmp_path / "f.json"
+        ints.write_text(json.dumps({"degrade": {"backscatter": [20, 120, 140]}}))
+        floats.write_text(json.dumps({"degrade": {"backscatter": [20.0, 120.0, 140.0]}}))
+        for cfg in (ints, floats):
+            assert run_cli("generate-data", "--count", "3", "--size", "16", "--config",
+                           str(cfg), "--out", str(tmp_path / cfg.stem)) == 0
+        assert tree_bytes(tmp_path / "i") == tree_bytes(tmp_path / "f")
+
 
 class TestTrain:
     def test_writes_log_and_checkpoints(self, trained_run):
@@ -157,6 +187,9 @@ class TestTrain:
             ({"gan_kind": "neg_log_likelihood"}, "gan_kind"),
             ({"shared_region_discriminators": False}, "shared_region_discriminators"),
             ({"discriminator": {"in_channels": 3}}, "in_channels"),
+            ({"discriminator": {"stride": 1}}, "discriminator.stride"),
+            ({"generator": {"kernel": 3}}, "generator.kernel"),
+            ({"generator": {"image_size": 32}}, "generator.image_size"),
         ],
     )
     def test_removed_mode_is_usage_error(self, dataset, tmp_path, capsys, override, key):
@@ -169,8 +202,15 @@ class TestTrain:
 
     def test_retired_keys_at_kept_values_train(self, dataset, trained_run, tmp_path):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({**TINY_TRAIN, "gan_kind": "least_squares",
-                                   "shared_region_discriminators": True}))
+        cfg.write_text(json.dumps({
+            **TINY_TRAIN, "gan_kind": "least_squares", "shared_region_discriminators": True,
+            "generator": {**TINY_TRAIN["generator"], "image_size": 16, "in_channels": 3,
+                          "kernel": 4, "leaky_slope": 0.2, "bn_epsilon": 1e-5,
+                          "bn_momentum": 0.1},
+            "discriminator": {**TINY_TRAIN["discriminator"], "image_size": 16,
+                              "in_channels": 6, "kernel": 3, "stride": 2,
+                              "leaky_slope": 0.2, "bn_epsilon": 1e-5, "bn_momentum": 0.1},
+        }))
         out = tmp_path / "r"
         assert run_cli("train", "--config", str(cfg), "--data", str(dataset),
                        "--out", str(out)) == 0

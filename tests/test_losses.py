@@ -7,8 +7,8 @@ from sepattn.diffcore import Tensor4, backward
 from sepattn.losses import LossWeights
 
 # tiny models keep these tests fast; geometry is exercised in test_netarch
-GEN_CFG = netarch.GeneratorConfig(image_size=16, depth=2, base_channels=4, max_channels=8)
-DISC_CFG = netarch.DiscriminatorConfig(num_layers=2, base_channels=4, image_size=16)
+GEN_CFG = netarch.GeneratorConfig(depth=2, base_channels=4, max_channels=8)
+DISC_CFG = netarch.DiscriminatorConfig(num_layers=2, base_channels=4)
 
 
 def scores(value, shape=(2, 1, 4, 4)):
@@ -17,10 +17,10 @@ def scores(value, shape=(2, 1, 4, 4)):
 
 def small_models(seed=0):
     return {
-        "gen_xy": netarch.Generator(GEN_CFG, seed=seed),
-        "gen_yx": netarch.Generator(GEN_CFG, seed=seed + 1),
-        "disc_x": netarch.Discriminator(DISC_CFG, seed=seed + 2),
-        "disc_y": netarch.Discriminator(DISC_CFG, seed=seed + 3),
+        "gen_xy": netarch.Generator(GEN_CFG, 16, seed=seed),
+        "gen_yx": netarch.Generator(GEN_CFG, 16, seed=seed + 1),
+        "disc_x": netarch.Discriminator(DISC_CFG, 16, seed=seed + 2),
+        "disc_y": netarch.Discriminator(DISC_CFG, 16, seed=seed + 3),
     }
 
 

@@ -42,8 +42,8 @@ def tiny_config(**overrides) -> TrainConfig:
         image_size=16,
         seed=3,
         checkpoint_every=2,
-        generator=GeneratorConfig(image_size=16, depth=2, base_channels=4, max_channels=8),
-        discriminator=DiscriminatorConfig(num_layers=2, base_channels=4, image_size=16),
+        generator=GeneratorConfig(depth=2, base_channels=4, max_channels=8),
+        discriminator=DiscriminatorConfig(num_layers=2, base_channels=4),
     )
     return replace(cfg, **overrides) if overrides else cfg
 
@@ -128,10 +128,91 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(doc)
 
+    # the two profiles' config documents as written before the fixed layer
+    # recipe moved into netarch constants; every older checkpoint carries one
+    # of these shapes
+    OLD_FULL = {
+        "cycle_weight": 10.0, "fg_attention": 7.0, "bg_attention": 3.0, "batch_size": 5,
+        "lr": 0.0002, "epochs": 100, "image_size": 256, "seed": 0, "checkpoint_every": 10,
+        "generator": {"image_size": 256, "in_channels": 3, "depth": 5, "base_channels": 16,
+                      "max_channels": 256, "kernel": 4, "leaky_slope": 0.2,
+                      "bn_epsilon": 1e-05, "bn_momentum": 0.1},
+        "discriminator": {"in_channels": 6, "num_layers": 2, "base_channels": 64,
+                          "max_channels": 512, "kernel": 3, "stride": 2, "leaky_slope": 0.2,
+                          "bn_epsilon": 1e-05, "bn_momentum": 0.1, "image_size": None},
+    }
+    OLD_DESK = {
+        **OLD_FULL, "epochs": 30, "image_size": 64, "seed": 7,
+        "generator": {**OLD_FULL["generator"], "image_size": 64, "depth": 3},
+        "discriminator": {**OLD_FULL["discriminator"], "num_layers": 3, "base_channels": 16,
+                          "image_size": 64},
+    }
+
+    @pytest.mark.parametrize("old, new", [(OLD_FULL, TrainConfig()), (OLD_DESK, desk_config())])
+    def test_older_profile_documents_load(self, old, new):
+        back = TrainConfig.from_dict(old)
+        assert back == new
+        assert config_hash(back) == config_hash(new)
+        assert CheckpointBundle(2, old, {}, {}).hash == config_hash(new)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("generator", "image_size", 16),
+            ("generator", "in_channels", 3),
+            ("generator", "kernel", 4),
+            ("generator", "leaky_slope", 0.2),
+            ("generator", "bn_epsilon", 1e-5),
+            ("generator", "bn_momentum", 0.1),
+            ("discriminator", "image_size", 16),
+            ("discriminator", "image_size", None),
+            ("discriminator", "in_channels", 6),
+            ("discriminator", "kernel", 3),
+            ("discriminator", "stride", 2),
+            ("discriminator", "leaky_slope", 0.2),
+            ("discriminator", "bn_epsilon", 1e-5),
+            ("discriminator", "bn_momentum", 0.1),
+        ],
+    )
+    def test_retired_nested_keys_at_kept_values_load_and_hash_the_same(self, section, key, value):
+        cfg = tiny_config()
+        doc = cfg.to_dict()
+        doc[section] = {**doc[section], key: value}
+        back = TrainConfig.from_dict(json.loads(json.dumps(doc)))
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("generator", "image_size", 32),
+            ("generator", "image_size", None),
+            ("generator", "image_size", 16.0),
+            ("generator", "in_channels", 1),
+            ("generator", "kernel", 3),
+            ("generator", "leaky_slope", 0.1),
+            ("generator", "bn_epsilon", 1e-3),
+            ("generator", "bn_momentum", 0.9),
+            ("discriminator", "image_size", 64),
+            ("discriminator", "kernel", 4),
+            ("discriminator", "stride", 1),
+            ("discriminator", "stride", True),
+            ("discriminator", "leaky_slope", "0.2"),
+            ("discriminator", "bn_epsilon", 0),
+            ("discriminator", "bn_momentum", None),
+        ],
+    )
+    def test_retired_nested_keys_at_other_values_rejected(self, section, key, value):
+        doc = tiny_config().to_dict()
+        doc[section] = {**doc[section], key: value}
+        with pytest.raises(ValueError, match=f"{section}.{key} = "):
+            TrainConfig.from_dict(doc)
+
     def test_bare_candidate_discriminator_rejected(self):
-        disc = DiscriminatorConfig(in_channels=3, num_layers=2, base_channels=4, image_size=16)
-        with pytest.raises(ValueError, match="in_channels"):
-            tiny_config(discriminator=disc).validate()
+        doc = tiny_config().to_dict()
+        doc["discriminator"] = {**doc["discriminator"], "in_channels": 3}
+        with pytest.raises(ValueError, match="discriminator.in_channels"):
+            TrainConfig.from_dict(doc)
 
     @pytest.mark.parametrize(
         "override, key",
@@ -157,7 +238,8 @@ class TestConfig:
         cfg = TrainConfig.from_dict(doc)
         assert type(cfg.lr) is float and cfg.lr == 1.0
         assert config_hash(cfg) == config_hash(replace(cfg, fg_attention=7.0))
-        assert cfg.discriminator.image_size is None
+        assert cfg.discriminator == tiny_config().discriminator  # the null is dropped
+        assert "image_size" not in cfg.to_dict()["discriminator"]
 
     def test_unknown_keys_rejected(self):
         doc = tiny_config().to_dict()
@@ -515,6 +597,10 @@ class TestCheckpoint:
         assert back.config == bundle.config and back.state == bundle.state
         assert all(back.tensors[k].tobytes() == v.tobytes() for k, v in bundle.tensors.items())
         assert model_bytes(load_generator(v1)) == model_bytes(models["gen_xy"])
+        # written back, it takes the current layout, CRC32 trailer and all
+        resaved = tmp_path / "resaved.satt"
+        save_checkpoint(back, resaved)
+        assert resaved.read_bytes() == raw
         with v1.open("ab") as f:
             f.write(raw[-4:])
         with pytest.raises(CheckpointError, match="4 unexpected trailing bytes"):
@@ -542,7 +628,7 @@ class TestCheckpoint:
         p = tmp_path / "c.satt"
         save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
         other = tiny_config(
-            generator=GeneratorConfig(image_size=16, depth=2, base_channels=8, max_channels=16)
+            generator=GeneratorConfig(depth=2, base_channels=8, max_channels=16)
         )
         fresh = build_models(other)
         fresh_opt = build_optimizers(fresh, other.lr)
@@ -671,8 +757,8 @@ class TestTrainLoop:
     def test_wrong_image_size_rejected(self, tmp_path, tiny_dataset):
         cfg = tiny_config(
             image_size=32,
-            generator=GeneratorConfig(image_size=32, depth=2, base_channels=4, max_channels=8),
-            discriminator=DiscriminatorConfig(num_layers=2, base_channels=4, image_size=32),
+            generator=GeneratorConfig(depth=2, base_channels=4, max_channels=8),
+            discriminator=DiscriminatorConfig(num_layers=2, base_channels=4),
         )
         with pytest.raises(ValueError, match="config wants"):
             train(tiny_dataset, cfg, tmp_path)

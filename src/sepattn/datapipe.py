@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -320,7 +320,7 @@ def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> Ima
 @dataclass
 class DatasetManifest:
     root: str
-    layout: str  # "synthetic" | "euvp_dirs"
+    layout: str  # "synthetic"
     splits: Dict[str, List[str]]
     files: Dict[str, Dict[str, str]]  # id -> role -> relative path
     image_size: Optional[int] = None
@@ -328,27 +328,14 @@ class DatasetManifest:
     depth_missing: bool = False
     extra: dict = field(default_factory=dict)
 
-    def ids(self, split: Optional[str] = None) -> List[str]:
-        if split is None:
-            return [i for names in self.splits.values() for i in names]
+    def ids(self, split: str) -> List[str]:
         if split not in self.splits:
             raise KeyError(f"unknown split {split!r}; have {sorted(self.splits)}")
         return list(self.splits[split])
 
-    def validate(self) -> None:
-        seen: Dict[str, str] = {}
-        for split, names in self.splits.items():
-            for i in names:
-                if i in seen:
-                    raise LayoutError(f"id {i!r} appears in both {seen[i]!r} and {split!r}")
-                seen[i] = split
-                if i not in self.files:
-                    raise LayoutError(f"id {i!r} has no file entries")
-        root = Path(self.root)
-        for i, roles in self.files.items():
-            for role, rel in roles.items():
-                if not (root / rel).is_file():
-                    raise LayoutError(f"id {i!r}: missing {role} file {rel}")
+    def has_depth(self, id: str) -> bool:
+        """False when ``id`` falls back to all-ones depth (see ``load_pair``)."""
+        return not self.depth_missing and "depth" in self.files[id]
 
     def path(self, id: str, role: str) -> Path:
         return Path(self.root) / self.files[id][role]
@@ -382,10 +369,13 @@ def load_manifest(root) -> DatasetManifest:
     for key, kind in (("layout", str), ("splits", dict), ("files", dict)):
         if not isinstance(doc.get(key), kind):
             raise LayoutError(f"{mpath}: required key {key!r} is missing or not a {kind.__name__}")
+    seen: Dict[str, str] = {}
     for split, names in doc["splits"].items():
         if not isinstance(names, list):
             raise LayoutError(f"{mpath}: split {split!r} must be a list of ids")
         for i in names:
+            if isinstance(i, str) and seen.setdefault(i, split) != split:
+                raise LayoutError(f"{mpath}: id {i!r} appears in both {seen[i]!r} and {split!r}")
             roles = doc["files"].get(i) if isinstance(i, str) else None
             if not isinstance(roles, dict) or not {"distorted", "clean"} <= roles.keys():
                 raise LayoutError(
@@ -406,10 +396,10 @@ def load_manifest(root) -> DatasetManifest:
 def load_pair(manifest: DatasetManifest, id: str) -> PairedSample:
     distorted = load_image(manifest.path(id, "distorted"))
     clean = load_image(manifest.path(id, "clean"))
-    if manifest.depth_missing or "depth" not in manifest.files[id]:
-        depth = np.ones(clean.pixels.shape[1:], dtype=np.float64)
-    else:
+    if manifest.has_depth(id):
         depth = load_depth(manifest.path(id, "depth"))
+    else:
+        depth = np.ones(clean.pixels.shape[1:], dtype=np.float64)
     return PairedSample(distorted=distorted, clean=clean, depth=depth)
 
 
@@ -518,54 +508,3 @@ def generate_synthetic_dataset(
     )
     (root / MANIFEST_NAME).write_text(manifest.to_json())
     return manifest
-
-
-# ---------------------------------------------------------------------------
-# directory-pair layout
-
-
-def load_euvp_layout(root, domain_a: str = "A", domain_b: str = "B") -> DatasetManifest:
-    """Pair same-named files across two domain directories.
-
-    domain_a holds the distorted domain, domain_b the clean one. A `depth/`
-    sibling directory is optional; its absence is flagged on the manifest so
-    callers can substitute a constant depth.
-    """
-    root = Path(root)
-    a_dir, b_dir = root / domain_a, root / domain_b
-    for d in (a_dir, b_dir):
-        if not d.is_dir():
-            raise LayoutError(f"expected domain directory {d}")
-    a_names = sorted(p.name for p in a_dir.iterdir() if p.is_file())
-    b_names = sorted(p.name for p in b_dir.iterdir() if p.is_file())
-    if not a_names and not b_names:
-        raise LayoutError(f"both domain directories under {root} are empty")
-    orphans = [f"{domain_a}/{n}" for n in a_names if n not in set(b_names)]
-    orphans += [f"{domain_b}/{n}" for n in b_names if n not in set(a_names)]
-    if orphans:
-        raise LayoutError(f"unpaired files (no same-named counterpart): {orphans}")
-
-    depth_dir = root / "depth"
-    depth_missing = not depth_dir.is_dir()
-    files: Dict[str, Dict[str, str]] = {}
-    missing_depth: List[str] = []
-    for name in a_names:
-        stem = Path(name).stem
-        entry = {"distorted": f"{domain_a}/{name}", "clean": f"{domain_b}/{name}"}
-        if not depth_missing:
-            dpath = depth_dir / f"{stem}.pgm"
-            if dpath.is_file():
-                entry["depth"] = f"depth/{stem}.pgm"
-            else:
-                missing_depth.append(f"depth/{stem}.pgm")
-        files[stem] = entry
-    if missing_depth:
-        raise LayoutError(f"depth directory present but incomplete: missing {missing_depth}")
-
-    return DatasetManifest(
-        root=str(root),
-        layout="euvp_dirs",
-        splits={"train": sorted(files), "val": [], "test": []},
-        files=files,
-        depth_missing=depth_missing,
-    )

@@ -233,9 +233,6 @@ class RunningStats:
             momentum=momentum,
         )
 
-    def copy(self) -> "RunningStats":
-        return RunningStats(self.mean.copy(), self.var.copy(), self.momentum)
-
 
 def batch_norm(
     x: Tensor4,

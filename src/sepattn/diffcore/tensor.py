@@ -56,16 +56,6 @@ class Tensor4:
         self._parents: tuple = ()
         self._grad_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def scalar(cls, value: float, requires_grad: bool = False) -> "Tensor4":
-        return cls(np.full(SCALAR_SHAPE, value, dtype=DTYPE), requires_grad)
-
-    @classmethod
-    def zeros(cls, shape, requires_grad: bool = False) -> "Tensor4":
-        return cls(np.zeros(shape, dtype=DTYPE), requires_grad)
-
     # -- views ----------------------------------------------------------------
 
     @property
@@ -80,16 +70,6 @@ class Tensor4:
         if self.data.shape != SCALAR_SHAPE:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data[0, 0, 0, 0])
-
-    def detach(self) -> "Tensor4":
-        """Same values, severed from the graph. Shares the underlying array."""
-        out = Tensor4.__new__(Tensor4)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        out._parents = ()
-        out._grad_fn = None
-        return out
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .util import map_units
 
@@ -41,8 +40,6 @@ PEAK = 255.0
 # SSIM stabilizers: (0.01 * 255)^2 and (0.03 * 255)^2
 SSIM_C1 = 6.5025
 SSIM_C2 = 58.5225
-_SSIM_WINDOW = 11
-_SSIM_SIGMA = 1.5
 
 # UIQM mixing and UICM coefficients
 _UIQM_C = (0.0282, 0.2953, 3.5753)
@@ -114,59 +111,24 @@ def psnr(reference: np.ndarray, candidate: np.ndarray) -> float:
 # SSIM
 
 
-def _gaussian_kernel() -> np.ndarray:
-    half = (_SSIM_WINDOW - 1) / 2.0
-    x = np.arange(_SSIM_WINDOW, dtype=np.float64) - half
-    k = np.exp(-(x * x) / (2.0 * _SSIM_SIGMA * _SSIM_SIGMA))
-    return k / k.sum()
+def ssim(reference: np.ndarray, candidate: np.ndarray) -> float:
+    """Structural similarity on intensity, the whole image as one window.
 
-
-def _sep_valid(img: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Valid-mode correlation with the separable window k (outer) k."""
-    v = sliding_window_view(img, k.size, axis=1) @ k
-    v = sliding_window_view(v, k.size, axis=0) @ k
-    return v
-
-
-def _ssim_formula(mx, my, vx, vy, cov):
-    num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
-    return num / den
-
-
-def ssim(reference: np.ndarray, candidate: np.ndarray, mode: str = "global") -> float:
-    """Structural similarity on intensity.
-
-    ``mode="global"`` treats the whole image as a single window (two-pass
-    population moments); ``mode="windowed"`` averages the index over an 11x11
-    Gaussian window (sigma 1.5) at every fully-contained position.
+    Means, variances and covariance are two-pass population moments.
     """
-    if mode not in ("global", "windowed"):
-        raise ValueError(f"unknown ssim mode {mode!r}; use 'global' or 'windowed'")
     a, b = _check_pair(reference, candidate)
     x = _luma(a)
     y = _luma(b)
-    if mode == "global":
-        mx = float(x.mean())
-        my = float(y.mean())
-        dx = x - mx
-        dy = y - my
-        vx = float(np.mean(dx * dx))
-        vy = float(np.mean(dy * dy))
-        cov = float(np.mean(dx * dy))
-        return float(_ssim_formula(mx, my, vx, vy, cov))
-    h, w = x.shape
-    if h < _SSIM_WINDOW or w < _SSIM_WINDOW:
-        raise MetricInputError(
-            f"windowed ssim needs at least {_SSIM_WINDOW}x{_SSIM_WINDOW} pixels, got {h}x{w}"
-        )
-    k = _gaussian_kernel()
-    mx = _sep_valid(x, k)
-    my = _sep_valid(y, k)
-    vx = _sep_valid(x * x, k) - mx * mx
-    vy = _sep_valid(y * y, k) - my * my
-    cov = _sep_valid(x * y, k) - mx * my
-    return float(np.mean(_ssim_formula(mx, my, vx, vy, cov)))
+    mx = float(x.mean())
+    my = float(y.mean())
+    dx = x - mx
+    dy = y - my
+    vx = float(np.mean(dx * dx))
+    vy = float(np.mean(dy * dy))
+    cov = float(np.mean(dx * dy))
+    num = (2.0 * mx * my + SSIM_C1) * (2.0 * cov + SSIM_C2)
+    den = (mx * mx + my * my + SSIM_C1) * (vx + vy + SSIM_C2)
+    return float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +292,9 @@ def batch_report(
 ) -> MetricsReport:
     """Score (id, reference, candidate) triples.
 
-    The reference may be None only when no requested metric needs one (UIQM is
-    no-reference; PSNR and SSIM are full-reference).
+    The reference may be None only when no requested metric needs one: UIQM is
+    no-reference, while PSNR and SSIM refuse a missing reference with
+    ``MetricInputError``.
     """
     metrics = tuple(metrics)
     unknown = [m for m in metrics if m not in KNOWN_METRICS]
@@ -340,13 +303,6 @@ def batch_report(
     if not metrics:
         raise ValueError("no metrics requested")
     items = list(items)
-    needs_ref = any(m in ("psnr", "ssim") for m in metrics)
-    for id_, ref, _ in items:
-        if needs_ref and ref is None:
-            raise MetricInputError(
-                f"item {id_!r} has no reference image but {metrics} includes a "
-                "full-reference metric"
-            )
     # aggregates must not depend on arrival order
     items.sort(key=lambda it: it[0])
     rows = map_units(lambda it: _score_one(it, metrics), items)

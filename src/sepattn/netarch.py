@@ -20,7 +20,7 @@ it); only the discriminator's final projection keeps one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "DiscriminatorConfig",
     "Generator",
     "Discriminator",
-    "parameter_count",
 ]
 
 WEIGHT_SIGMA = 0.02
@@ -110,10 +109,6 @@ class DiscriminatorConfig:
     def conv_channels(self) -> List[int]:
         return [min(self.base_channels << i, self.max_channels) for i in range(self.num_layers)]
 
-    def patch_map_hw(self, image_hw: Tuple[int, int]) -> Tuple[int, int]:
-        h, w = image_hw
-        return h >> self.num_layers, w >> self.num_layers
-
 
 class Model:
     """Parameters, norm-stat buffers, and a forward pass, addressable by id."""
@@ -143,10 +138,6 @@ class Model:
             out[f"{stage}/bn/mean"] = stats.mean
             out[f"{stage}/bn/var"] = stats.var
         return out
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.tensor.zero_grad()
 
     def load_arrays(self, params: Dict[str, np.ndarray], buffers: Dict[str, np.ndarray]) -> None:
         """Overwrite parameter/buffer values in place (shapes must match)."""
@@ -196,10 +187,6 @@ class Model:
         size = self.image_size
         if (h, w) != (size, size):
             raise ShapeError(f"{what} is built for {size}x{size} inputs, got {h}x{w}")
-
-
-def parameter_count(model: Model) -> int:
-    return int(sum(p.tensor.data.size for p in model.params.values()))
 
 
 class Generator(Model):

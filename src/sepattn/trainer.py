@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -421,13 +422,14 @@ class _Reader:
     def __init__(self, buf: bytes, path):
         self.buf = buf
         self.pos = 0
+        self.end = len(buf)  # a version 2 trailer is cut off before the blocks are read
         self.path = path
 
     def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
+        if self.pos + n > self.end:
             raise CheckpointError(
                 f"{self.path}: truncated at byte {self.pos} reading {what} "
-                f"(need {n} bytes, have {len(self.buf) - self.pos})"
+                f"(need {n} bytes, have {self.end - self.pos})"
             )
         chunk = self.buf[self.pos : self.pos + n]
         self.pos += n
@@ -452,6 +454,17 @@ def load_checkpoint(path) -> CheckpointBundle:
             f"{path}: unsupported checkpoint version {version} (reader supports 1 to "
             f"{CHECKPOINT_VERSION})"
         )
+    if version >= 2:
+        r.end -= 4
+        if r.end < r.pos:
+            raise CheckpointError(f"{path}: truncated before the CRC32 trailer")
+        stored = struct.unpack_from("<I", r.buf, r.end)[0]
+        computed = zlib.crc32(memoryview(r.buf)[: r.end])
+        if stored != computed:
+            raise CheckpointError(
+                f"{path}: checksum mismatch (stored CRC32 {stored:08x}, computed "
+                f"{computed:08x}); the file is corrupt"
+            )
     try:
         config = json.loads(r.block("config JSON"))
     except ValueError as exc:
@@ -475,19 +488,33 @@ def load_checkpoint(path) -> CheckpointBundle:
         state = json.loads(r.block("state JSON"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: corrupt state JSON: {exc}") from exc
-    if version >= 2:
-        computed = zlib.crc32(memoryview(r.buf)[: r.pos])
-        stored = r.u32("CRC32 trailer")
-        if stored != computed:
-            raise CheckpointError(
-                f"{path}: checksum mismatch (stored CRC32 {stored:08x}, computed "
-                f"{computed:08x}); the file is corrupt"
-            )
-    if r.pos != len(r.buf):
+    if r.pos != r.end:
         raise CheckpointError(
-            f"{path}: {len(r.buf) - r.pos} unexpected trailing bytes after the state block"
+            f"{path}: {r.end - r.pos} unexpected trailing bytes after the state block"
         )
+    _check_blocks(config, state, path)
     return CheckpointBundle(version=version, config=config, tensors=tensors, state=state)
+
+
+def _check_blocks(config, state, path) -> None:
+    """Refuse config and state blocks of a shape that resuming cannot use."""
+    for what, block in (("config", config), ("state", state)):
+        if not isinstance(block, dict):
+            raise CheckpointError(
+                f"{path}: {what} block must be a JSON object, got {type(block).__name__}"
+            )
+    is_count = lambda v: type(v) is int and v >= 0
+    for key in ("next_epoch", "global_step"):
+        if not is_count(state.get(key)):
+            raise CheckpointError(
+                f"{path}: state {key!r} must be a non-negative integer, got {state.get(key)!r}"
+            )
+    steps = state.get("optim_steps")
+    if not isinstance(steps, dict) or not all(map(is_count, steps.values())):
+        raise CheckpointError(
+            f"{path}: state 'optim_steps' must map model names to non-negative integers, "
+            f"got {steps!r}"
+        )
 
 
 def _load_model(bundle: CheckpointBundle, mname: str, model: Model) -> None:
@@ -543,10 +570,22 @@ def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
 # the loop
 
 
+def _warn_depth_fallback(manifest: DatasetManifest, ids: Sequence[str]) -> None:
+    """One stderr line when some ids have no depth map and load all-ones depth."""
+    missing = sum(not manifest.has_depth(i) for i in ids)
+    if missing:
+        print(
+            f"warning: {missing} of {len(ids)} ids have no depth map and fall back to "
+            "all-ones depth; their background stream is all zero",
+            file=sys.stderr,
+        )
+
+
 def _load_train_pairs(manifest: DatasetManifest, config: TrainConfig) -> List[PairedSample]:
     ids = manifest.ids("train")
     if not ids:
         raise ValueError("manifest has no training ids")
+    _warn_depth_fallback(manifest, ids)
     pairs = [load_pair(manifest, i) for i in ids]
     for p in pairs:
         if p.clean.pixels.shape[1:] != (config.image_size, config.image_size):
@@ -685,6 +724,7 @@ def evaluate(
     ids = manifest.ids(split)
     if not ids:
         raise ValueError(f"split {split!r} is empty")
+    _warn_depth_fallback(manifest, ids)
 
     if isinstance(checkpoint, str) and checkpoint == "identity":
         enhance = lambda rec: rec

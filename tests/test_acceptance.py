@@ -188,7 +188,8 @@ def test_4_loss_algebra_worked_values_and_gradient_decomposition():
 
         def grads_of(scalar, models=models):
             for m in models.values():
-                m.zero_grads()
+                for p in m.params.values():
+                    p.tensor.zero_grad()
             backward(scalar)
             return {
                 f"{n}/{pid}": (p.tensor.grad.copy() if p.tensor.grad is not None else 0.0)

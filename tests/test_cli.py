@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, determinism, file outputs."""
 import hashlib
+import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from sepattn import cli, datapipe
 from sepattn.datapipe import load_depth, load_image, save_depth, save_image
-from sepattn.diffcore import ops
+from sepattn.diffcore import Tensor4, ops
 from sepattn.diffcore.gradcheck import OP_CASES, _rand
 from sepattn.trainer import load_checkpoint, save_checkpoint
 
@@ -65,7 +67,8 @@ class TestGenerateData:
         manifest = datapipe.load_manifest(dataset)
         assert len(manifest.splits["train"]) == 9
         assert len(manifest.splits["test"]) == 1
-        manifest.validate()
+        assert all(manifest.path(i, role).is_file() for i, roles in manifest.files.items()
+                   for role in roles)
 
     def test_repeat_same_flags_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -223,6 +226,27 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg), "--data", str(dataset),
                        "--out", str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda b: setattr(b, "state", {}), "'next_epoch'"),
+            (lambda b: b.state.update(optim_steps=[1, 1, 1, 1]), "'optim_steps'"),
+            (lambda b: setattr(b, "config", []), "config block"),
+        ],
+    )
+    def test_malformed_checkpoint_block_is_runtime_error(self, dataset, config_file,
+                                                          trained_run, tmp_path, capsys,
+                                                          edit, match):
+        bundle = load_checkpoint(trained_run / "ckpt_epoch_0001.satt")
+        edit(bundle)
+        ckpt = tmp_path / "bad.satt"
+        save_checkpoint(bundle, ckpt)
+        assert run_cli("train", "--config", str(config_file), "--epochs", "2",
+                       "--data", str(dataset), "--out", str(tmp_path / "r"),
+                       "--resume", str(ckpt)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err and "Traceback" not in err
+
     def test_missing_manifest_is_runtime_error(self, config_file, tmp_path, capsys):
         assert run_cli("train", "--config", str(config_file),
                        "--data", str(tmp_path / "nowhere"),
@@ -284,6 +308,17 @@ class TestEnhance:
         assert run_cli("enhance", "--checkpoint", str(ckpt), "--in", str(src),
                        "--out", str(tmp_path / "o.ppm")) == 1
         assert "checksum mismatch" in capsys.readouterr().err
+        assert not (tmp_path / "o.ppm").exists()
+
+    @pytest.mark.skipif(importlib.util.find_spec("PIL") is not None,
+                        reason="Pillow is installed")
+    def test_png_without_pillow_is_runtime_error(self, tmp_path, capsys):
+        src = tmp_path / "in.png"
+        src.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(32))
+        assert run_cli("enhance", "--checkpoint", "identity", "--in", str(src),
+                       "--out", str(tmp_path / "o.ppm")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'png' extra" in err and "Traceback" not in err
         assert not (tmp_path / "o.ppm").exists()
 
     def test_wrong_image_size_is_runtime_error(self, trained_run, tmp_path):
@@ -362,6 +397,44 @@ class TestEval:
                        "--split", "holdout") == 2
 
 
+class TestDepthFallback:
+    """train and eval name the ids that train on all-ones depth, in one line."""
+
+    @staticmethod
+    def _manifest(dataset, root, depth_missing, with_depth):
+        shutil.copytree(dataset, root)
+        ids = [f"{i:05d}" for i in range(10)]
+        files = {i: {"distorted": f"distorted/{i}.ppm", "clean": f"clean/{i}.ppm"} for i in ids}
+        for i in ids[:with_depth]:
+            files[i]["depth"] = f"depth/{i}.pgm"
+        (root / "manifest.json").write_text(json.dumps({
+            "layout": "synthetic",
+            "splits": {"train": ids[:9], "test": ids[9:]},
+            "files": files,
+            "depth_missing": depth_missing,
+        }))
+
+    @pytest.mark.parametrize("depth_missing, with_depth, n_train", [(True, 10, 9), (False, 6, 3)])
+    def test_train_and_eval_warn(self, dataset, config_file, tmp_path, capsys,
+                                 depth_missing, with_depth, n_train):
+        root = tmp_path / "d"
+        self._manifest(dataset, root, depth_missing, with_depth)
+        assert run_cli("train", "--config", str(config_file), "--data", str(root),
+                       "--out", str(tmp_path / "r")) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"warning: {n_train} of 9 ids have no depth map")
+        assert "background stream is all zero" in err
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(root)) == 0
+        assert capsys.readouterr().err.startswith("warning: 1 of 1 ids have no depth map")
+
+    def test_no_warning_when_every_id_has_depth(self, dataset, config_file, tmp_path, capsys):
+        assert run_cli("train", "--config", str(config_file), "--data", str(dataset),
+                       "--out", str(tmp_path / "r")) == 0
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset)) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestMaskPreview:
     def test_partition_sums_back_exactly(self, dataset, tmp_path):
         out = tmp_path / "m"
@@ -391,12 +464,12 @@ class TestMaskPreview:
 
 
 def _broken_case(rng):
-    # finite differences see the detached branch (shared buffer); backward
+    # finite differences see the untracked branch (shared buffer); backward
     # does not, so the reported gradient is half the true one
     x = _rand(rng, 1, 2, 4, 4)
 
     def f(x):
-        return ops.add(ops.mean_sq(x), ops.mean_sq(x.detach()))
+        return ops.add(ops.mean_sq(x), ops.mean_sq(Tensor4(x.data)))
 
     return f, [x]
 

@@ -15,7 +15,6 @@ from sepattn.datapipe import (
     from_model_space,
     generate_synthetic_dataset,
     load_depth,
-    load_euvp_layout,
     load_image,
     load_manifest,
     load_pair,
@@ -250,7 +249,7 @@ class TestSyntheticDataset:
         assert len(man.splits["train"]) == 18
         assert len(man.splits["test"]) == 2
         assert man.splits["val"] == []
-        man.validate()
+        assert all((tmp_path / rel).is_file() for roles in man.files.values() for rel in roles.values())
         pair = load_pair(man, man.splits["test"][0])
         assert pair.clean.pixels.shape == (3, 16, 16)
         assert pair.distorted.pixels.shape == (3, 16, 16)
@@ -279,7 +278,7 @@ class TestSyntheticDataset:
         assert back.files == man.files
         assert back.image_size == 16
         assert back.params["beta"] == [1.8, 0.9, 0.4]
-        back.validate()
+        assert all(back.path(i, role).is_file() for i, roles in back.files.items() for role in roles)
 
     @pytest.mark.parametrize(
         "edit,match",
@@ -291,6 +290,7 @@ class TestSyntheticDataset:
             (lambda doc: doc["files"].pop("00000"), "'00000'.*lacks a 'distorted' or 'clean'"),
             (lambda doc: doc["files"]["00001"].pop("clean"), "'00001'.*lacks a 'distorted' or 'clean'"),
             (lambda doc: doc["splits"].update(train="00000"), "split 'train' must be a list"),
+            (lambda doc: doc["splits"]["test"].append("00001"), "'00001' appears in both 'test' and 'train'"),
         ],
     )
     def test_malformed_manifest_is_layout_error(self, tmp_path, edit, match):
@@ -308,16 +308,34 @@ class TestSyntheticDataset:
         with pytest.raises(LayoutError, match="manifest.json"):
             load_manifest(tmp_path)
 
-    def test_validate_catches_missing_file(self, tmp_path):
+    def test_missing_file_is_found_at_load(self, tmp_path):
         man = generate_synthetic_dataset(3, 16, DegradeParams(), seed=1, out_root=tmp_path)
         (tmp_path / "clean" / "00001.ppm").unlink()
-        with pytest.raises(LayoutError, match="00001"):
-            man.validate()
+        with pytest.raises(FileNotFoundError, match="00001"):
+            load_pair(man, "00001")
+
+    @pytest.mark.parametrize("depth_missing", [True, False])
+    def test_ids_without_depth_load_all_ones(self, tmp_path, depth_missing):
+        generate_synthetic_dataset(2, 16, DegradeParams(), seed=1, out_root=tmp_path)
+        files = {i: {"distorted": f"distorted/{i}.ppm", "clean": f"clean/{i}.ppm"}
+                 for i in ("00000", "00001")}
+        if depth_missing:  # depth files listed, but the manifest says not to use them
+            for i, roles in files.items():
+                roles["depth"] = f"depth/{i}.pgm"
+        (tmp_path / "manifest.json").write_text(json.dumps({
+            "layout": "synthetic", "splits": {"train": ["00000", "00001"]},
+            "files": files, "depth_missing": depth_missing,
+        }))
+        man = load_manifest(tmp_path)
+        assert man.depth_missing is depth_missing
+        for i in files:
+            assert not man.has_depth(i)
+            assert np.all(load_pair(man, i).depth == 1.0)
 
     def test_depth_has_near_shapes_and_far_background(self, tmp_path):
         man = generate_synthetic_dataset(5, 32, DegradeParams(), seed=6, out_root=tmp_path)
         saw_near = False
-        for i in man.ids():
+        for i in sorted(man.files):
             depth = load_pair(man, i).depth
             assert depth.min() >= 0.0 and depth.max() <= 1.0
             saw_near |= bool((depth >= 0.5).any())
@@ -331,56 +349,7 @@ class TestSyntheticDataset:
         man = generate_synthetic_dataset(50, 64, DegradeParams(), seed=11, out_root=tmp_path)
         vals = [
             metrics.psnr(load_pair(man, i).clean.pixels, load_pair(man, i).distorted.pixels)
-            for i in man.ids()
+            for i in sorted(man.files)
         ]
         mean = float(np.mean(vals))
         assert abs(mean - PSNR_BAND_CENTER) <= PSNR_BAND_HALF_WIDTH
-
-
-class TestEuvpLayout:
-    def _mk(self, root, a_names, b_names, depth_names=None):
-        for sub, names in (("A", a_names), ("B", b_names)):
-            (root / sub).mkdir(parents=True, exist_ok=True)
-            for n in names:
-                save_image(random_record(id=n), root / sub / n)
-        if depth_names is not None:
-            (root / "depth").mkdir()
-            for n in depth_names:
-                save_depth(np.full((6, 5), 0.5), root / "depth" / n)
-
-    def test_pairs_by_basename(self, tmp_path):
-        self._mk(tmp_path, ["1.ppm", "2.ppm"], ["1.ppm", "2.ppm"])
-        man = load_euvp_layout(tmp_path)
-        assert man.layout == "euvp_dirs"
-        assert man.splits["train"] == ["1", "2"]
-        assert man.depth_missing
-        man.validate()
-        pair = load_pair(man, "1")
-        assert np.all(pair.depth == 1.0)  # constant fallback when depth absent
-
-    def test_orphans_listed(self, tmp_path):
-        self._mk(tmp_path, ["1.ppm", "2.ppm"], ["1.ppm"])
-        with pytest.raises(LayoutError, match=r"A/2\.ppm"):
-            load_euvp_layout(tmp_path)
-
-    def test_empty_dirs_rejected(self, tmp_path):
-        self._mk(tmp_path, [], [])
-        with pytest.raises(LayoutError, match="empty"):
-            load_euvp_layout(tmp_path)
-
-    def test_missing_domain_dir(self, tmp_path):
-        (tmp_path / "A").mkdir()
-        with pytest.raises(LayoutError, match="domain directory"):
-            load_euvp_layout(tmp_path)
-
-    def test_depth_dir_used_when_complete(self, tmp_path):
-        self._mk(tmp_path, ["1.ppm"], ["1.ppm"], depth_names=["1.pgm"])
-        man = load_euvp_layout(tmp_path)
-        assert not man.depth_missing
-        pair = load_pair(man, "1")
-        assert pair.depth[0, 0] == pytest.approx(128 / 255)
-
-    def test_partial_depth_dir_rejected(self, tmp_path):
-        self._mk(tmp_path, ["1.ppm", "2.ppm"], ["1.ppm", "2.ppm"], depth_names=["1.pgm"])
-        with pytest.raises(LayoutError, match=r"2\.pgm"):
-            load_euvp_layout(tmp_path)

@@ -136,7 +136,8 @@ class TestFullGeneratorLoss:
             for pid, p in m.params.items()
         }
         for m in models.values():
-            m.zero_grads()
+            for p in m.params.values():
+                p.tensor.zero_grad()
         backward(parts["combined_fg"])
         g_fg = {
             f"{i}/{pid}": p.tensor.grad.copy() if p.tensor.grad is not None else 0.0
@@ -144,7 +145,8 @@ class TestFullGeneratorLoss:
             for pid, p in m.params.items()
         }
         for m in models.values():
-            m.zero_grads()
+            for p in m.params.values():
+                p.tensor.zero_grad()
         backward(parts["combined_bg"])
         for i, m in enumerate(gens):
             for pid, p in m.params.items():
@@ -178,8 +180,8 @@ class TestSeparatedDiscriminatorLosses:
     def _run(self, seed=0, **kw):
         models = small_models(seed=seed)
         x, y, depth = batch(seed=seed)
-        fake_y = models["gen_xy"].forward(x, training=True).detach()
-        fake_x = models["gen_yx"].forward(y, training=True).detach()
+        fake_y = Tensor4(models["gen_xy"].forward(x, training=True).data)
+        fake_x = Tensor4(models["gen_yx"].forward(y, training=True).data)
         return models, x, y, fake_x, fake_y, depth, losses.separated_discriminator_losses(
             x, y, fake_x, fake_y, depth, models, **kw
         )
@@ -201,7 +203,7 @@ class TestSeparatedDiscriminatorLosses:
         models = small_models(seed=1)
         x, y, depth = batch(seed=1)
         fake_y = models["gen_xy"].forward(x, training=True)  # still on the graph
-        fake_x = models["gen_yx"].forward(y, training=True).detach()
+        fake_x = Tensor4(models["gen_yx"].forward(y, training=True).data)
         with pytest.raises(ValueError, match="detached"):
             losses.separated_discriminator_losses(x, y, fake_x, fake_y, depth, models)
 

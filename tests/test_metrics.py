@@ -105,26 +105,6 @@ class TestSsim:
         b = rng.integers(0, 256, (3, 16, 16), dtype=np.uint8)
         assert metrics.ssim(a, b) == pytest.approx(ref_ssim_global(a, b), rel=1e-9)
 
-    def test_windowed_equals_global_on_constants(self):
-        a, b = gray(40), gray(200)
-        got_w = metrics.ssim(a, b, mode="windowed")
-        got_g = metrics.ssim(a, b, mode="global")
-        assert got_w == pytest.approx(got_g, rel=1e-9)
-
-    def test_windowed_penalizes_structure_change(self):
-        rng = np.random.default_rng(7)
-        a = rng.integers(0, 256, (32, 32), dtype=np.uint8)
-        b = np.roll(a, 5, axis=1)
-        assert metrics.ssim(a, b, mode="windowed") < 0.5
-
-    def test_windowed_needs_min_size(self):
-        with pytest.raises(MetricInputError, match="11x11"):
-            metrics.ssim(gray(0, h=8, w=8), gray(0, h=8, w=8), mode="windowed")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            metrics.ssim(gray(0), gray(0), mode="local")
-
     def test_color_reduces_to_luma(self):
         rng = np.random.default_rng(9)
         a = rng.integers(0, 256, (3, 16, 16), dtype=np.uint8)
@@ -362,14 +342,13 @@ class TestInvariants:
         pb = b.reshape(-1)[perm].reshape(b.shape)
         assert metrics.psnr(pa, pb) == pytest.approx(metrics.psnr(a, b), rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["global", "windowed"])
-    def test_ssim_symmetric_and_bounded(self, mode):
+    def test_ssim_symmetric_and_bounded(self):
         rng = np.random.default_rng(23)
         for _ in range(5):
             a = rng.integers(0, 256, (16, 16), dtype=np.uint8)
             b = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-            s_ab = metrics.ssim(a, b, mode=mode)
-            s_ba = metrics.ssim(b, a, mode=mode)
+            s_ab = metrics.ssim(a, b)
+            s_ba = metrics.ssim(b, a)
             assert s_ab == pytest.approx(s_ba, rel=1e-12)
             assert -1.0 < s_ab <= 1.0
 

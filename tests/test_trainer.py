@@ -9,7 +9,7 @@ import pytest
 
 from sepattn import datapipe, trainer
 from sepattn.datapipe import DegradeParams, generate_synthetic_dataset, load_pair
-from sepattn.diffcore import adam_step, backward
+from sepattn.diffcore import Tensor4, adam_step, backward
 from sepattn.losses import full_generator_loss
 from sepattn.netarch import DiscriminatorConfig, GeneratorConfig
 from sepattn.trainer import (
@@ -66,6 +66,11 @@ def model_bytes(model) -> bytes:
     for bid, arr in sorted(model.buffers().items()):
         h.update(arr.tobytes())
     return h.digest()
+
+
+def as_version_1(raw: bytes) -> bytes:
+    """A saved checkpoint in the version 1 layout: same records, no CRC32 trailer."""
+    return raw[:4] + (1).to_bytes(4, "little") + raw[8:-4]
 
 
 def strip_ms(csv_text: str) -> str:
@@ -378,10 +383,10 @@ class TestTrainStep:
         cfg = tiny_config()
         x, y, depth = trainer._stack_batch(first_batch(tiny_dataset, cfg))
 
-        # reference: fakes made on tracked generators, then detached
+        # reference: fakes made on tracked generators, then cut from their graphs
         ref_models = build_models(cfg)
-        fake_y = ref_models["gen_xy"].forward(x, training=True, update_stats=False).detach()
-        fake_x = ref_models["gen_yx"].forward(y, training=True, update_stats=False).detach()
+        fake_y = Tensor4(ref_models["gen_xy"].forward(x, training=True, update_stats=False).data)
+        fake_x = Tensor4(ref_models["gen_yx"].forward(y, training=True, update_stats=False).data)
         total, _ = trainer.separated_discriminator_losses(
             x, y, fake_x, fake_y, depth, ref_models, cfg.weights
         )
@@ -570,6 +575,21 @@ class TestCheckpoint:
                     with pytest.raises(CheckpointError, match="checksum mismatch"):
                         load_checkpoint(p)
 
+    def test_header_bit_flips_report_checksum_mismatch(self, tmp_path):
+        cfg, models, optims = self._live(steps=0)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
+        raw = p.read_bytes()
+        # the config length and the start of the config JSON: the CRC is
+        # checked before any length is trusted
+        for pos in range(8, 64):
+            for bit in range(8):
+                bad = bytearray(raw)
+                bad[pos] ^= 1 << bit
+                p.write_bytes(bytes(bad))
+                with pytest.raises(CheckpointError, match="checksum mismatch"):
+                    load_checkpoint(p)
+
     def test_bit_flips_anywhere_rejected(self, tmp_path):
         cfg, models, optims = self._live(steps=0)
         p = tmp_path / "c.satt"
@@ -589,9 +609,8 @@ class TestCheckpoint:
         p = tmp_path / "c.satt"
         save_checkpoint(bundle, p)
         raw = p.read_bytes()
-        # the version 1 layout: same records, no CRC32 trailer
         v1 = tmp_path / "v1.satt"
-        v1.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-4])
+        v1.write_bytes(as_version_1(raw))
         back = load_checkpoint(v1)
         assert back.version == 1
         assert back.config == bundle.config and back.state == bundle.state
@@ -606,21 +625,58 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="4 unexpected trailing bytes"):
             load_checkpoint(v1)
 
-    def test_truncated_file(self, tmp_path):
+    def _saved(self, tmp_path, version=2) -> bytes:
         cfg, models, optims = self._live(steps=0)
         p = tmp_path / "c.satt"
         save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
-        p.write_bytes(p.read_bytes()[:100])
-        with pytest.raises(CheckpointError, match="truncated"):
+        raw = p.read_bytes()
+        return raw if version == 2 else as_version_1(raw)
+
+    @pytest.mark.parametrize(
+        "version, keep, match",
+        [
+            (2, 100, "checksum mismatch"),
+            (2, 10, "truncated before the CRC32 trailer"),
+            (1, 100, "truncated at byte"),
+        ],
+    )
+    def test_truncated_file(self, tmp_path, version, keep, match):
+        p = tmp_path / "t.satt"
+        p.write_bytes(self._saved(tmp_path, version)[:keep])
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(p)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "version, match", [(2, "checksum mismatch"), (1, "7 unexpected trailing bytes")]
+    )
+    def test_trailing_bytes_rejected(self, tmp_path, version, match):
+        p = tmp_path / "t.satt"
+        p.write_bytes(self._saved(tmp_path, version) + b"GARBAGE")
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda b: setattr(b, "config", [1, 2]), "config block must be a JSON object"),
+            (lambda b: setattr(b, "state", "state"), "state block must be a JSON object"),
+            (lambda b: setattr(b, "state", {}), "'next_epoch'"),
+            (lambda b: b.state.update(next_epoch=-1), "'next_epoch'"),
+            (lambda b: b.state.update(next_epoch=1.0), "'next_epoch'"),
+            (lambda b: b.state.update(global_step="0"), "'global_step'"),
+            (lambda b: b.state.update(global_step=True), "'global_step'"),
+            (lambda b: b.state.pop("optim_steps"), "'optim_steps'"),
+            (lambda b: b.state.update(optim_steps=[0, 0, 0, 0]), "'optim_steps'"),
+            (lambda b: b.state["optim_steps"].update(gen_xy=None), "'optim_steps'"),
+        ],
+    )
+    def test_malformed_blocks_rejected(self, tmp_path, edit, match):
         cfg, models, optims = self._live(steps=0)
+        bundle = bundle_from_live(models, optims, cfg, 0, 0)
+        edit(bundle)
         p = tmp_path / "c.satt"
-        save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
-        with p.open("ab") as f:
-            f.write(b"GARBAGE")
-        with pytest.raises(CheckpointError, match="7 unexpected trailing bytes"):
+        save_checkpoint(bundle, p)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(p)
 
     def test_architecture_mismatch_names_tensor(self, tmp_path):

@@ -132,7 +132,8 @@ def cmd_generate_data(args) -> int:
 def cmd_train(args) -> int:
     try:
         doc = _load_config_doc(args.config)
-        doc.pop("degrade", None)  # generate-data section is legal in a shared file
+        # generate-data's section is legal in a shared file, and checked as there
+        degrade_params_from(doc.pop("degrade", {}))
         config = _train_config_from(doc, args)
     except ValueError as exc:
         return _fail_usage(str(exc))

@@ -50,7 +50,6 @@ class LayoutError(ValueError):
 class ImageRecord:
     id: str
     pixels: np.ndarray  # (channels, height, width) uint8
-    source: str = ""
 
     def __post_init__(self):
         p = self.pixels
@@ -134,7 +133,7 @@ def _load_png(path: Path) -> ImageRecord:
             arr = np.asarray(img, dtype=np.uint8)[None]
         else:
             arr = np.asarray(img.convert("RGB"), dtype=np.uint8).transpose(2, 0, 1)
-    return ImageRecord(id=path.stem, pixels=arr, source=str(path))
+    return ImageRecord(id=path.stem, pixels=arr)
 
 
 def load_image(path) -> ImageRecord:
@@ -174,7 +173,7 @@ def load_image(path) -> ImageRecord:
         pixels = flat.reshape(height, width, 3).transpose(2, 0, 1)
     else:
         pixels = flat.reshape(1, height, width)
-    return ImageRecord(id=path.stem, pixels=np.ascontiguousarray(pixels), source=str(path))
+    return ImageRecord(id=path.stem, pixels=np.ascontiguousarray(pixels))
 
 
 def save_image(record: ImageRecord, path) -> None:
@@ -216,7 +215,7 @@ def to_model_space(record: ImageRecord) -> Tensor4:
     return Tensor4(arr[None])
 
 
-def from_model_space(t: Tensor4, id: str = "", source: str = "") -> ImageRecord:
+def from_model_space(t: Tensor4, id: str = "") -> ImageRecord:
     """[-1, 1] tensor back to 8-bit pixels (round-half-up, clipped).
 
     Exact inverse of to_model_space on the 8-bit lattice; 0.0 maps to 128.
@@ -225,7 +224,7 @@ def from_model_space(t: Tensor4, id: str = "", source: str = "") -> ImageRecord:
         raise ValueError(f"expected a single-image batch, got batch {t.shape[0]}")
     v = t.data[0].astype(np.float64)
     q = np.floor((v + 1.0) * 127.5 + 0.5)
-    return ImageRecord(id=id, pixels=np.clip(q, 0, 255).astype(np.uint8), source=source)
+    return ImageRecord(id=id, pixels=np.clip(q, 0, 255).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +307,7 @@ def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> Ima
         rng = np.random.default_rng(params.seed)
         out += rng.normal(0.0, params.noise_sigma, out.shape)
     q = np.floor(np.clip(out, 0.0, 255.0) + 0.5)
-    return ImageRecord(
-        id=clean.id, pixels=np.clip(q, 0, 255).astype(np.uint8), source=clean.source
-    )
+    return ImageRecord(id=clean.id, pixels=np.clip(q, 0, 255).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +378,9 @@ def load_manifest(root) -> DatasetManifest:
                 raise LayoutError(
                     f"{mpath}: id {i!r} in split {split!r} lacks a 'distorted' or 'clean' file"
                 )
+    depth_missing = doc.get("depth_missing", False)
+    if not isinstance(depth_missing, bool):
+        raise LayoutError(f"{mpath}: 'depth_missing' must be true or false, got {depth_missing!r}")
     return DatasetManifest(
         root=str(root),
         layout=doc["layout"],
@@ -388,7 +388,7 @@ def load_manifest(root) -> DatasetManifest:
         files=doc["files"],
         image_size=doc.get("image_size"),
         params=doc.get("params"),
-        depth_missing=doc.get("depth_missing", False),
+        depth_missing=depth_missing,
         extra=doc.get("extra", {}),
     )
 

@@ -73,7 +73,6 @@ def _wsum(a: Tensor4, weights: np.ndarray) -> Tensor4:
 def grad_check(
     fn: Callable[..., Tensor4],
     args: Sequence[Tensor4],
-    wrt: Optional[Sequence[int]] = None,
     epsilon: float = 1e-3,
     tolerance: float = 1e-3,
     rng: Optional[np.random.Generator] = None,
@@ -81,18 +80,14 @@ def grad_check(
 ) -> GradCheckResult:
     """Compare reverse-mode gradients of ``fn(*args)`` against central differences.
 
-    ``wrt`` selects which argument positions to differentiate (default: all).
-    Tensors stay float32 throughout; see the module docstring for how the
-    comparison is scaled.
+    Every argument is differentiated. Tensors stay float32 throughout; see the
+    module docstring for how the comparison is scaled.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    idxs = list(range(len(args))) if wrt is None else list(wrt)
     for t in args:
-        t.requires_grad = False
+        t.requires_grad = True
         t.zero_grad()
-    for i in idxs:
-        args[i].requires_grad = True
 
     out = fn(*args)
     if not np.all(np.isfinite(out.data)):
@@ -101,18 +96,18 @@ def grad_check(
     loss = _wsum(out, probe)
     backward(loss)
     analytic = []
-    for i in idxs:
-        if args[i].grad is None:
+    for i, t in enumerate(args):
+        if t.grad is None:
             raise AssertionError(f"{name}: argument {i} received no gradient")
-        analytic.append(args[i].grad.copy())
+        analytic.append(t.grad.copy())
 
     def objective() -> float:
         val = fn(*args)
         return float(np.sum(val.data.astype(np.float64) * probe))
 
     worst = 0.0
-    for pos, i in enumerate(idxs):
-        data = args[i].data
+    for t, a in zip(args, analytic):
+        data = t.data
         num = np.zeros(data.shape, dtype=np.float64)
         flat = data.reshape(-1)
         nflat = num.reshape(-1)
@@ -126,12 +121,12 @@ def grad_check(
             lo = objective()
             flat[j] = orig
             nflat[j] = (hi - lo) / (float(hi_x) - float(lo_x))
-        a = analytic[pos].astype(np.float64)
+        a = a.astype(np.float64)
         scale = max(float(np.abs(a).max()), float(np.abs(num).max()), _DENOM_FLOOR)
         worst = max(worst, float(np.abs(a - num).max()) / scale)
-    for i in idxs:
-        args[i].requires_grad = False
-        args[i].zero_grad()
+    for t in args:
+        t.requires_grad = False
+        t.zero_grad()
     return GradCheckResult(
         name=name,
         epsilon=epsilon,

@@ -39,8 +39,8 @@ from .diffcore import (
 
 __all__ = [
     "ATTENTION_RANGE",
+    "LOG_FIELDS",
     "LossWeights",
-    "LossReport",
     "gan_generator_loss",
     "gan_discriminator_loss",
     "cycle_loss",
@@ -51,6 +51,13 @@ __all__ = [
 
 #: attention weights are expected inside this closed interval
 ATTENTION_RANGE = (1.0, 10.0)
+
+#: the training log's loss columns: ``full_generator_loss``'s six values (the
+#: adversarial and cycle ones are raw fg + bg sums), then the discriminators' four
+LOG_FIELDS = (
+    "gan_g_xy", "gan_g_yx", "cycle", "combined_fg", "combined_bg", "attention_total",
+    "disc_x_fg", "disc_x_bg", "disc_y_fg", "disc_y_bg",
+)
 
 
 @dataclass(frozen=True)
@@ -69,40 +76,6 @@ class LossWeights:
             if not (lo <= v <= hi):
                 raise ValueError(f"{name} = {v} outside the supported range [{lo:g}, {hi:g}]")
         return self
-
-
-@dataclass
-class LossReport:
-    """One training step's scalar terms; adversarial/cycle values are the raw
-    per-region sums (attention and cycle weighting applied only inside
-    combined_fg/combined_bg/attention_total)."""
-
-    gan_g_xy: float = 0.0
-    gan_g_yx: float = 0.0
-    cycle: float = 0.0
-    combined_fg: float = 0.0
-    combined_bg: float = 0.0
-    attention_total: float = 0.0
-    disc_x_fg: float = 0.0
-    disc_x_bg: float = 0.0
-    disc_y_fg: float = 0.0
-    disc_y_bg: float = 0.0
-
-    FIELDS = (
-        "gan_g_xy",
-        "gan_g_yx",
-        "cycle",
-        "combined_fg",
-        "combined_bg",
-        "attention_total",
-        "disc_x_fg",
-        "disc_x_bg",
-        "disc_y_fg",
-        "disc_y_bg",
-    )
-
-    def to_dict(self) -> Dict[str, float]:
-        return {f: getattr(self, f) for f in self.FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +136,9 @@ def full_generator_loss(
     Translations run on the full images; masking applies to the loss inputs.
     Discriminator scoring uses batch statistics but never updates
     discriminator norm buffers (that happens in the discriminator's own
-    phase). Returns ``(total, report)`` — with ``return_parts`` also a dict
-    holding the per-region combined scalars still attached to the graph.
+    phase). Returns ``(total, values)``, ``values`` keyed by the first six
+    ``LOG_FIELDS``; with ``return_parts`` also a dict holding the per-region
+    combined scalars still attached to the graph.
     """
     if x.shape != y.shape:
         raise ShapeError(f"paired batch shapes differ: x {x.shape} vs y {y.shape}")
@@ -187,9 +161,7 @@ def full_generator_loss(
         regions[name] = attnmask.split(img, depth)
 
     parts: Dict[str, Tensor4] = {}
-    gan_xy_vals = {}
-    gan_yx_vals = {}
-    cyc_vals = {}
+    region_values = {"gan_g_xy": [], "gan_g_yx": [], "cycle": []}  # [fg, bg] each
     for r, ridx in (("fg", 0), ("bg", 1)):
         score_y = disc_y.forward(
             concat_channels(regions["y"][ridx], regions["fake_y"][ridx]),
@@ -209,22 +181,19 @@ def full_generator_loss(
         )
         combined = add(add(gan_xy, gan_yx), scale(cyc, weights.cycle_weight))
         parts[f"combined_{r}"] = combined
-        gan_xy_vals[r] = gan_xy.item()
-        gan_yx_vals[r] = gan_yx.item()
-        cyc_vals[r] = cyc.item()
+        for key, term in (("gan_g_xy", gan_xy), ("gan_g_yx", gan_yx), ("cycle", cyc)):
+            region_values[key].append(term.item())
 
     total = attention_objective(parts["combined_fg"], parts["combined_bg"], weights)
-    report = LossReport(
-        gan_g_xy=gan_xy_vals["fg"] + gan_xy_vals["bg"],
-        gan_g_yx=gan_yx_vals["fg"] + gan_yx_vals["bg"],
-        cycle=cyc_vals["fg"] + cyc_vals["bg"],
+    values = {key: fg + bg for key, (fg, bg) in region_values.items()}
+    values.update(
         combined_fg=parts["combined_fg"].item(),
         combined_bg=parts["combined_bg"].item(),
         attention_total=total.item(),
     )
     if return_parts:
-        return total, report, parts
-    return total, report
+        return total, values, parts
+    return total, values
 
 
 def separated_discriminator_losses(

@@ -36,7 +36,7 @@ from .datapipe import (
     to_model_space,
 )
 from .diffcore import AdamState, Tensor4, adam_step, backward
-from .losses import LossReport, LossWeights, full_generator_loss, separated_discriminator_losses
+from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
 from .util import typed_fields
@@ -67,7 +67,6 @@ __all__ = [
     "config_hash",
 ]
 
-LOG_FIELDS = LossReport.FIELDS
 LOG_HEADER = "epoch,step," + ",".join(LOG_FIELDS) + ",ms"
 
 CHECKPOINT_MAGIC = b"SATT"
@@ -261,7 +260,7 @@ def generator_phase(
     config: TrainConfig,
     epoch: int = 0,
     step: int = 0,
-) -> LossReport:
+) -> Dict[str, float]:
     """Minimize the attention objective over both generators; one Adam step each.
 
     The discriminators score the fakes inside the graph but are frozen for
@@ -269,12 +268,12 @@ def generator_phase(
     leaves every discriminator ``.grad`` untouched.
     """
     with _frozen(models, _DISCRIMINATORS):
-        total, report = full_generator_loss(x, y, depth, models, config.weights)
-        _check_finite(report.to_dict(), epoch, step)
+        total, values = full_generator_loss(x, y, depth, models, config.weights)
+        _check_finite(values, epoch, step)
         backward(total)
     for name in _GENERATORS:
         adam_step(models[name].params.values(), optims[name])
-    return report
+    return values
 
 
 def discriminator_phase(
@@ -331,10 +330,8 @@ def train_step(
     """One generator update followed by one discriminator update."""
     t0 = perf_counter()
     x, y, depth = _stack_batch(samples)
-    report = generator_phase(x, y, depth, models, optims, config, epoch, step)
-    disc_values = discriminator_phase(x, y, depth, models, optims, config, epoch, step)
-    values = report.to_dict()
-    values.update(disc_values)
+    values = generator_phase(x, y, depth, models, optims, config, epoch, step)
+    values.update(discriminator_phase(x, y, depth, models, optims, config, epoch, step))
     return TrainLogRow(epoch=epoch, step=step, values=values, ms=(perf_counter() - t0) * 1e3)
 
 
@@ -517,20 +514,41 @@ def _check_blocks(config, state, path) -> None:
         )
 
 
+def _section(tensors: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
+    """The tensors named ``prefix<rest>``, keyed by ``<rest>``."""
+    return {k[len(prefix) :]: v for k, v in tensors.items() if k.startswith(prefix)}
+
+
 def _load_model(bundle: CheckpointBundle, mname: str, model: Model) -> None:
     """Load the ``model/<mname>/`` params and buffers (strict names + shapes)."""
-    prefix = f"model/{mname}/"
-    bufprefix = prefix + "buffers/"
-    params = {
-        k[len(prefix) :]: v
-        for k, v in bundle.tensors.items()
-        if k.startswith(prefix) and not k.startswith(bufprefix)
-    }
-    buffers = {k[len(bufprefix) :]: v for k, v in bundle.tensors.items() if k.startswith(bufprefix)}
+    stored = _section(bundle.tensors, f"model/{mname}/")
+    buffers = _section(stored, "buffers/")
+    params = {k: v for k, v in stored.items() if not k.startswith("buffers/")}
     try:
         model.load_arrays(params, buffers)
     except (KeyError, ValueError) as exc:
         raise CheckpointError(f"checkpoint does not fit model {mname!r}: {exc}") from exc
+
+
+def _load_moments(
+    bundle: CheckpointBundle, mname: str, model: Model, step: int, which: str
+) -> Dict[str, np.ndarray]:
+    """Adam's ``which`` ("m" or "v") moments for ``model`` after ``step`` updates.
+
+    Each update writes a moment for every parameter, so once ``step`` is above 0
+    the moments name exactly the model's parameters, in their shapes; at 0, none.
+    """
+    stored = _section(bundle.tensors, f"optim/{mname}/{which}/")
+    have = {pid: arr.shape for pid, arr in stored.items()}
+    want = {pid: p.tensor.shape for pid, p in model.params.items()} if step else {}
+    if have != want:
+        pid = min(k for k in have.keys() | want.keys() if have.get(k) != want.get(k))
+        raise CheckpointError(
+            f"checkpoint optimizer state does not fit model {mname!r} after {step} steps: "
+            f"{which}/{pid} is {have.get(pid, 'absent')}, the model needs "
+            f"{want.get(pid, 'none')}"
+        )
+    return {pid: arr.copy() for pid, arr in stored.items()}
 
 
 def restore_into(
@@ -540,17 +558,9 @@ def restore_into(
     for mname, model in models.items():
         _load_model(bundle, mname, model)
         st = optims[mname]
-        st.m = {
-            k[len(f"optim/{mname}/m/") :]: v.copy()
-            for k, v in bundle.tensors.items()
-            if k.startswith(f"optim/{mname}/m/")
-        }
-        st.v = {
-            k[len(f"optim/{mname}/v/") :]: v.copy()
-            for k, v in bundle.tensors.items()
-            if k.startswith(f"optim/{mname}/v/")
-        }
         st.step = int(bundle.state["optim_steps"].get(mname, 0))
+        st.m = _load_moments(bundle, mname, model, st.step, "m")
+        st.v = _load_moments(bundle, mname, model, st.step, "v")
 
 
 def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
@@ -691,7 +701,7 @@ def train(
 def enhance_record(gen: Generator, rec: ImageRecord) -> ImageRecord:
     """Run one image through a generator in eval mode (running norm stats)."""
     out = gen.forward(to_model_space(rec), training=False)
-    return from_model_space(out, id=rec.id, source=rec.source)
+    return from_model_space(out, id=rec.id)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
 import os
 import typing
@@ -43,9 +44,10 @@ def typed_fields(cls, doc: dict, where: str) -> dict:
     """``doc``'s values checked against the types of dataclass ``cls``'s fields.
 
     int fields reject bools and floats; float fields also take ints (stored as
-    float); a fixed-length tuple field such as ``Tuple[float, float, float]``
-    takes a list of exactly that many reals; a nested dataclass must be an
-    object. Unknown keys, and any mismatch, are a ValueError naming the key.
+    float) and reject NaN and the infinities; a fixed-length tuple field such as
+    ``Tuple[float, float, float]`` takes a list of exactly that many reals; a
+    nested dataclass must be an object. Unknown keys, and any mismatch, are a
+    ValueError naming the key.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be an object, got {doc!r}")
@@ -76,4 +78,10 @@ def _typed_value(want: type, value, where: str, key: str):
         value, numbers.Integral if want is int else numbers.Real
     ):
         raise ValueError(f"{where} key {key!r} must be {want.__name__}, got {value!r}")
-    return want(value)
+    try:
+        value = want(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if want is float and not math.isfinite(value):
+        raise ValueError(f"{where} key {key!r} must be a finite number, got {value!r}")
+    return value

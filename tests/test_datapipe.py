@@ -291,6 +291,7 @@ class TestSyntheticDataset:
             (lambda doc: doc["files"]["00001"].pop("clean"), "'00001'.*lacks a 'distorted' or 'clean'"),
             (lambda doc: doc["splits"].update(train="00000"), "split 'train' must be a list"),
             (lambda doc: doc["splits"]["test"].append("00001"), "'00001' appears in both 'test' and 'train'"),
+            (lambda doc: doc.update(depth_missing="false"), "'depth_missing' must be true or false"),
         ],
     )
     def test_malformed_manifest_is_layout_error(self, tmp_path, edit, match):

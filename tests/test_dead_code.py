@@ -3,9 +3,11 @@
 The package is reached from the ``sepattn`` CLI, the trainer and the benchmark
 in ``perfbench/``. A definition whose name appears nowhere in ``src/`` or in the
 benchmark's own modules, apart from its ``def``/``class`` line and
-``__all__``, is reached only by tests: delete it, or use it.
+``__all__``, is reached only by tests: delete it, or use it. And every name a
+module's ``__all__`` lists exists: the benchmark's tracer looks each one up.
 """
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,3 +40,14 @@ def unreferenced(root: Path = ROOT) -> list:
 
 def test_every_definition_is_used_outside_tests():
     assert unreferenced() == []
+
+
+def test_every_all_entry_exists():
+    src = ROOT / "src"
+    missing = []
+    for path in sorted((src / "sepattn").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        module = importlib.import_module(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+        names = getattr(module, "__all__", ())
+        missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
+    assert missing == []

@@ -102,13 +102,13 @@ class TestFullGeneratorLoss:
         w = LossWeights()
         total, rep = losses.full_generator_loss(x, y, depth, models, w)
         # combined regions re-aggregate into the raw sums
-        assert rep.combined_fg + rep.combined_bg == pytest.approx(
-            rep.gan_g_xy + rep.gan_g_yx + w.cycle_weight * rep.cycle, rel=1e-4
+        assert rep["combined_fg"] + rep["combined_bg"] == pytest.approx(
+            rep["gan_g_xy"] + rep["gan_g_yx"] + w.cycle_weight * rep["cycle"], rel=1e-4
         )
-        assert rep.attention_total == pytest.approx(
-            w.fg_attention * rep.combined_fg + w.bg_attention * rep.combined_bg, rel=1e-5
+        assert rep["attention_total"] == pytest.approx(
+            w.fg_attention * rep["combined_fg"] + w.bg_attention * rep["combined_bg"], rel=1e-5
         )
-        assert total.item() == rep.attention_total
+        assert total.item() == rep["attention_total"]
 
     def test_all_generator_params_receive_grads(self):
         models = small_models(seed=3)

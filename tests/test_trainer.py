@@ -230,6 +230,10 @@ class TestConfig:
             ({"generator": None}, "generator"),
             ({"generator": {"depth": "3"}}, "depth"),
             ({"discriminator": {"image_size": 16.0}}, "image_size"),
+            ({"cycle_weight": float("nan")}, "cycle_weight"),
+            ({"lr": float("inf")}, "lr"),
+            ({"fg_attention": float("-inf")}, "fg_attention"),
+            ({"lr": 10**400}, "lr"),
         ],
     )
     def test_mistyped_values_rejected(self, override, key):

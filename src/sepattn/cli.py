@@ -38,6 +38,7 @@ from .trainer import (
     load_generator,
     train,
 )
+from .util import worker_count
 
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".png")
 
@@ -112,6 +113,8 @@ def cmd_generate_data(args) -> int:
             raise ValueError(f"--count must be positive, got {args.count}")
         if args.size < 8:
             raise ValueError(f"--size must be >= 8, got {args.size}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
     except ValueError as exc:
         return _fail_usage(str(exc))
     try:
@@ -250,6 +253,8 @@ def cmd_mask_preview(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.seed < 0:
+        return _fail_usage(f"--seed must be >= 0, got {args.seed}")
     if args.ops == "all":
         only = None
     else:
@@ -338,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        worker_count()
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     return args.func(args)
 
 

@@ -327,7 +327,7 @@ class DatasetManifest:
 
     def ids(self, split: str) -> List[str]:
         if split not in self.splits:
-            raise KeyError(f"unknown split {split!r}; have {sorted(self.splits)}")
+            raise LayoutError(f"unknown split {split!r}; have {sorted(self.splits)}")
         return list(self.splits[split])
 
     def has_depth(self, id: str) -> bool:

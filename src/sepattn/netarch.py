@@ -139,33 +139,6 @@ class Model:
             out[f"{stage}/bn/var"] = stats.var
         return out
 
-    def load_arrays(self, params: Dict[str, np.ndarray], buffers: Dict[str, np.ndarray]) -> None:
-        """Overwrite parameter/buffer values in place (shapes must match)."""
-        missing = set(self.params) - set(params)
-        extra = set(params) - set(self.params)
-        if missing or extra:
-            raise KeyError(
-                f"parameter set mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-            )
-        own_buffers = self.buffers()
-        bmissing = set(own_buffers) - set(buffers)
-        bextra = set(buffers) - set(own_buffers)
-        if bmissing or bextra:
-            raise KeyError(
-                f"buffer set mismatch: missing {sorted(bmissing)}, unexpected {sorted(bextra)}"
-            )
-        for pid, arr in params.items():
-            tensor = self.params[pid].tensor
-            if arr.shape != tensor.shape:
-                raise ShapeError(f"parameter {pid!r}: stored {arr.shape} vs model {tensor.shape}")
-            tensor.data = arr.astype(DTYPE, copy=True)
-            tensor.zero_grad()
-        for bid, arr in buffers.items():
-            target = own_buffers[bid]
-            if arr.shape != target.shape:
-                raise ShapeError(f"buffer {bid!r}: stored {arr.shape} vs model {target.shape}")
-            target[:] = arr  # in place: RunningStats objects alias these
-
     # -- forward pieces shared by both networks -------------------------------
 
     def _bn_leaky(self, x: Tensor4, stage: str, training: bool, update_stats: bool) -> Tensor4:

@@ -351,6 +351,21 @@ class CheckpointBundle:
         return config_hash(TrainConfig.from_dict(self.config))
 
 
+def _live_arrays(models: Dict[str, Model], optims: Dict[str, AdamState]) -> Dict[str, np.ndarray]:
+    """Each checkpoint tensor name mapped to its live array (not a copy)."""
+    live: Dict[str, np.ndarray] = {}
+    for mname, model in models.items():
+        for pid, p in model.params.items():
+            live[f"model/{mname}/{pid}"] = p.tensor.data
+        for bid, arr in model.buffers().items():
+            live[f"model/{mname}/buffers/{bid}"] = arr
+    for mname, st in optims.items():
+        for which, moments in (("m", st.m), ("v", st.v)):
+            for pid, arr in moments.items():
+                live[f"optim/{mname}/{which}/{pid}"] = arr
+    return live
+
+
 def bundle_from_live(
     models: Dict[str, Model],
     optims: Dict[str, AdamState],
@@ -358,17 +373,7 @@ def bundle_from_live(
     next_epoch: int,
     global_step: int,
 ) -> CheckpointBundle:
-    tensors: Dict[str, np.ndarray] = {}
-    for mname, model in models.items():
-        for pid, p in model.params.items():
-            tensors[f"model/{mname}/{pid}"] = p.tensor.data.copy()
-        for bid, arr in model.buffers().items():
-            tensors[f"model/{mname}/buffers/{bid}"] = arr.copy()
-        st = optims[mname]
-        for pid, arr in st.m.items():
-            tensors[f"optim/{mname}/m/{pid}"] = arr.copy()
-        for pid, arr in st.v.items():
-            tensors[f"optim/{mname}/v/{pid}"] = arr.copy()
+    tensors = {name: arr.copy() for name, arr in _live_arrays(models, optims).items()}
     state = {
         "optim_steps": {name: optims[name].step for name in optims},
         "next_epoch": next_epoch,
@@ -514,53 +519,39 @@ def _check_blocks(config, state, path) -> None:
         )
 
 
-def _section(tensors: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
-    """The tensors named ``prefix<rest>``, keyed by ``<rest>``."""
-    return {k[len(prefix) :]: v for k, v in tensors.items() if k.startswith(prefix)}
-
-
-def _load_model(bundle: CheckpointBundle, mname: str, model: Model) -> None:
-    """Load the ``model/<mname>/`` params and buffers (strict names + shapes)."""
-    stored = _section(bundle.tensors, f"model/{mname}/")
-    buffers = _section(stored, "buffers/")
-    params = {k: v for k, v in stored.items() if not k.startswith("buffers/")}
-    try:
-        model.load_arrays(params, buffers)
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint does not fit model {mname!r}: {exc}") from exc
-
-
-def _load_moments(
-    bundle: CheckpointBundle, mname: str, model: Model, step: int, which: str
-) -> Dict[str, np.ndarray]:
-    """Adam's ``which`` ("m" or "v") moments for ``model`` after ``step`` updates.
-
-    Each update writes a moment for every parameter, so once ``step`` is above 0
-    the moments name exactly the model's parameters, in their shapes; at 0, none.
-    """
-    stored = _section(bundle.tensors, f"optim/{mname}/{which}/")
-    have = {pid: arr.shape for pid, arr in stored.items()}
-    want = {pid: p.tensor.shape for pid, p in model.params.items()} if step else {}
-    if have != want:
-        pid = min(k for k in have.keys() | want.keys() if have.get(k) != want.get(k))
-        raise CheckpointError(
-            f"checkpoint optimizer state does not fit model {mname!r} after {step} steps: "
-            f"{which}/{pid} is {have.get(pid, 'absent')}, the model needs "
-            f"{want.get(pid, 'none')}"
-        )
-    return {pid: arr.copy() for pid, arr in stored.items()}
-
-
 def restore_into(
     bundle: CheckpointBundle, models: Dict[str, Model], optims: Dict[str, AdamState]
 ) -> None:
-    """Load bundle tensors into live models/optimizers (strict names + shapes)."""
-    for mname, model in models.items():
-        _load_model(bundle, mname, model)
-        st = optims[mname]
-        st.step = int(bundle.state["optim_steps"].get(mname, 0))
-        st.m = _load_moments(bundle, mname, model, st.step, "m")
-        st.v = _load_moments(bundle, mname, model, st.step, "v")
+    """Copy the bundle's tensors into the live models and optimizers in place.
+
+    Each optimizer takes its step count from the bundle; once stepped it holds
+    an Adam ``m`` and ``v`` per parameter, at step 0 none. The bundle's tensors
+    under these models' names must match ``_live_arrays`` in names and shapes,
+    else a CheckpointError names the first that differs. Gradients are dropped.
+    """
+    steps = bundle.state["optim_steps"]
+    for mname, st in optims.items():
+        st.step = int(steps.get(mname, 0))
+        params = models[mname].params if st.step else {}
+        st.m = {pid: np.zeros_like(p.tensor.data) for pid, p in params.items()}
+        st.v = {pid: np.zeros_like(p.tensor.data) for pid, p in params.items()}
+    live = _live_arrays(models, optims)
+    prefixes = tuple(f"model/{m}/" for m in models) + tuple(f"optim/{m}/" for m in optims)
+    stored = {k: v for k, v in bundle.tensors.items() if k.startswith(prefixes)}
+    have = {k: v.shape for k, v in stored.items()}
+    want = {k: v.shape for k, v in live.items()}
+    if have != want:
+        name = min(k for k in have.keys() | want.keys() if have.get(k) != want.get(k))
+        mname = name.split("/")[1]
+        raise CheckpointError(
+            f"checkpoint does not fit model {mname!r} after {steps.get(mname, 0)} steps: "
+            f"{name} is {have.get(name, 'absent')}, the model needs {want.get(name, 'none')}"
+        )
+    for name, arr in stored.items():
+        live[name][...] = arr  # in place: the norm stats alias their buffers
+    for model in models.values():
+        for p in model.params.values():
+            p.tensor.zero_grad()
 
 
 def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
@@ -572,7 +563,7 @@ def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
     config = TrainConfig.from_dict(bundle.config)
     config.validate()
     gen = Generator(config.generator, config.image_size)
-    _load_model(bundle, "gen_xy", gen)
+    restore_into(bundle, {"gen_xy": gen}, {})
     return gen
 
 
@@ -637,6 +628,7 @@ def train(
     boundary sees the identical batch order the uninterrupted run would have.
     """
     config.validate()
+    pairs = _load_train_pairs(manifest, config)  # bad data fails before any write
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.csv"
@@ -666,7 +658,6 @@ def train(
             bundle_from_live(models, optims, config, 0, 0), out_dir / "ckpt_init.satt"
         )
 
-    pairs = _load_train_pairs(manifest, config)
     n = len(pairs)
     steps_per_epoch = -(-n // config.batch_size)
 

@@ -535,3 +535,69 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["grad-check", "--bogus"])
         assert exc.value.code == 2
+
+
+def _dataset_with_manifest(dataset, root, edit):
+    """A copy of ``dataset`` whose manifest document went through ``edit``."""
+    shutil.copytree(dataset, root)
+    doc = json.loads((root / "manifest.json").read_text())
+    edit(doc)
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return root
+
+
+class TestBadInvocation:
+    """Each ends in its exit code and exactly one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit, overrides",
+        [
+            (lambda doc: doc["splits"].pop("train"), {}),
+            (lambda doc: doc["splits"].update(train=[]), {}),
+            (lambda doc: None, {"image_size": 32}),
+        ],
+        ids=["no-train-split", "empty-train-split", "wrong-image-size"],
+    )
+    def test_bad_training_data_writes_nothing(self, dataset, tmp_path, capsys, edit, overrides):
+        data = _dataset_with_manifest(dataset, tmp_path / "d", edit)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY_TRAIN, **overrides}))
+        out = tmp_path / "r"
+        assert run_cli("train", "--config", str(cfg), "--data", str(data),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (out / "ckpt_init.satt").exists()
+
+    def test_resume_on_bad_training_data_keeps_the_log(self, dataset, config_file, trained_run,
+                                                      tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run, run)
+        log = (run / "train_log.csv").read_bytes()
+        data = _dataset_with_manifest(dataset, tmp_path / "d",
+                                      lambda doc: doc["splits"].update(train=[]))
+        assert run_cli("train", "--config", str(config_file), "--data", str(data),
+                       "--out", str(run), "--resume", str(run / "ckpt_init.satt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert (run / "train_log.csv").read_bytes() == log
+
+    @pytest.mark.parametrize(
+        "threads, argv",
+        [
+            (None, ["generate-data", "--count", "2", "--size", "16", "--seed", "-1",
+                    "--out", "{tmp}/g"]),
+            (None, ["grad-check", "--ops", "add", "--seed", "-1"]),
+            ("abc", ["generate-data", "--count", "2", "--size", "16", "--out", "{tmp}/g"]),
+            ("abc", ["eval", "--checkpoint", "identity", "--data", "{data}"]),
+        ],
+        ids=["generate-data-negative-seed", "grad-check-negative-seed",
+             "generate-data-bad-threads", "eval-bad-threads"],
+    )
+    def test_usage_error(self, dataset, tmp_path, capsys, monkeypatch, threads, argv):
+        if threads is not None:
+            monkeypatch.setenv("SATT_THREADS", threads)
+        assert run_cli(*(a.format(tmp=tmp_path, data=dataset) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "g").exists()

@@ -1,6 +1,7 @@
 """Training loop behavior: stepping, partition, determinism, checkpoints."""
 import hashlib
 import json
+import re
 import zlib
 from dataclasses import replace
 
@@ -719,6 +720,54 @@ class TestCheckpoint:
         bundle.tensors = {k: v for k, v in bundle.tensors.items() if not k.startswith("model/gen_xy/")}
         with pytest.raises(CheckpointError, match="does not fit model 'gen_xy'"):
             load_generator(bundle)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.pop("model/gen_xy/e1/conv/weight"),
+             "model/gen_xy/e1/conv/weight is absent, the model needs (4, 3, 4, 4)"),
+            (lambda t: t.update({"model/gen_xy/e1/conv/weight": np.zeros((4, 1, 4, 4),
+                                                                         np.float32)}),
+             "model/gen_xy/e1/conv/weight is (4, 1, 4, 4), the model needs (4, 3, 4, 4)"),
+            (lambda t: t.pop("model/disc_x/buffers/c1/bn/var"),
+             "model/disc_x/buffers/c1/bn/var is absent, the model needs (4,)"),
+            (lambda t: t.update({"model/gen_xy/e9/conv/weight": np.zeros((1, 1, 1, 1),
+                                                                         np.float32)}),
+             "model/gen_xy/e9/conv/weight is (1, 1, 1, 1), the model needs none"),
+        ],
+        ids=["missing-parameter", "parameter-shape", "missing-buffer", "extra-tensor"],
+    )
+    def test_misfit_tensor_is_named(self, edit, message):
+        cfg, models, optims = self._live(steps=0)
+        bundle = bundle_from_live(models, optims, cfg, 0, 0)
+        edit(bundle.tensors)
+        fresh = build_models(cfg)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            restore_into(bundle, fresh, build_optimizers(fresh, cfg.lr))
+
+    def test_restored_arrays_do_not_alias_the_bundle(self, tiny_dataset):
+        cfg, models, optims = self._live(dataset=tiny_dataset)
+        bundle = bundle_from_live(models, optims, cfg, 1, 1)
+        fresh = build_models(cfg)
+        fresh_opt = build_optimizers(fresh, cfg.lr)
+        restore_into(bundle, fresh, fresh_opt)
+        for n, model in fresh.items():
+            assert model_bytes(model) == model_bytes(models[n])
+            live = [p.tensor.data for p in model.params.values()]
+            live += [*model.buffers().values(), *fresh_opt[n].m.values(), *fresh_opt[n].v.values()]
+            assert len(live) == sum(k.split("/")[1] == n for k in bundle.tensors)
+            for arr in live:
+                assert not any(np.shares_memory(arr, t) for t in bundle.tensors.values())
+
+    def test_restore_drops_gradients(self):
+        cfg, models, optims = self._live(steps=0)
+        bundle = bundle_from_live(models, optims, cfg, 0, 0)
+        fresh = build_models(cfg)
+        params = [p for model in fresh.values() for p in model.params.values()]
+        for p in params:
+            p.tensor.grad = np.ones_like(p.tensor.data)
+        restore_into(bundle, fresh, build_optimizers(fresh, cfg.lr))
+        assert all(p.tensor.grad is None for p in params)
 
 
 class TestTrainLoop:

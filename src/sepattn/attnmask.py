@@ -47,17 +47,16 @@ def validate_depth(values: np.ndarray) -> np.ndarray:
 
 
 def _broadcast_depth(depth: np.ndarray, batch: int, channels: int) -> np.ndarray:
+    """Broadcast a depth map that ``validate_depth`` passed to (N, C, H, W)."""
     if depth.ndim == 2:
         d = np.broadcast_to(depth, (batch, channels) + depth.shape)
-    elif depth.ndim == 3:
+    else:
         if depth.shape[0] != batch:
             raise ShapeError(
                 f"depth batch {depth.shape[0]} does not match image batch {batch} "
                 f"(depth {depth.shape})"
             )
         d = np.broadcast_to(depth[:, None, :, :], (batch, channels) + depth.shape[1:])
-    else:  # pragma: no cover - validate_depth already rejects
-        raise ShapeError(f"depth must be (H, W) or (N, H, W), got {depth.shape}")
     return np.ascontiguousarray(d, dtype=DTYPE)
 
 

@@ -378,6 +378,9 @@ def load_manifest(root) -> DatasetManifest:
                 raise LayoutError(
                     f"{mpath}: id {i!r} in split {split!r} lacks a 'distorted' or 'clean' file"
                 )
+            for role, rel in roles.items():
+                if not isinstance(rel, str):
+                    raise LayoutError(f"{mpath}: id {i!r} has a non-string {role!r} path: {rel!r}")
     depth_missing = doc.get("depth_missing", False)
     if not isinstance(depth_missing, bool):
         raise LayoutError(f"{mpath}: 'depth_missing' must be true or false, got {depth_missing!r}")

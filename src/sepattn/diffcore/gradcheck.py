@@ -206,7 +206,7 @@ def _case_batch_norm_eval(rng):
 
 def _case_leaky_relu(rng):
     x = _rand_away_from_kink(rng, 2, 3, 6, 6)
-    return (lambda x: ops.leaky_relu(x, 0.2)), [x]
+    return (lambda x: ops.leaky_relu(x)), [x]
 
 
 def _case_tanh(rng):

@@ -39,6 +39,11 @@ __all__ = [
     "backward",
 ]
 
+# CycleGAN's layer recipe, fixed for every network built here
+BN_EPSILON = 1e-5
+BN_MOMENTUM = 0.1
+LEAKY_SLOPE = 0.2
+
 
 def _live(t: Optional[Tensor4]) -> bool:
     """Whether a gradient for ``t`` is needed by the backward sweep."""
@@ -217,21 +222,16 @@ class RunningStats:
     """Per-channel running moments for one batch-norm stage.
 
     ``mean``/``var`` are float32 vectors of length C. Updated in train mode
-    with momentum ``running <- (1 - momentum) * running + momentum * batch``;
+    with ``running <- (1 - BN_MOMENTUM) * running + BN_MOMENTUM * batch``;
     the running variance uses the unbiased batch estimate.
     """
 
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = 0.1
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.1) -> "RunningStats":
-        return cls(
-            mean=np.zeros(channels, dtype=DTYPE),
-            var=np.ones(channels, dtype=DTYPE),
-            momentum=momentum,
-        )
+    def create(cls, channels: int) -> "RunningStats":
+        return cls(mean=np.zeros(channels, dtype=DTYPE), var=np.ones(channels, dtype=DTYPE))
 
 
 def batch_norm(
@@ -240,7 +240,6 @@ def batch_norm(
     beta: Tensor4,
     stats: RunningStats,
     training: bool,
-    epsilon: float = 1e-5,
     update_stats: Optional[bool] = None,
 ) -> Tensor4:
     """Per-channel normalization over the (batch, height, width) axes.
@@ -260,8 +259,6 @@ def batch_norm(
         raise ShapeError(
             f"batch_norm: running stats carry {stats.mean.shape[0]} channels, input has {c}"
         )
-    if epsilon <= 0:
-        raise ValueError(f"batch_norm: epsilon must be positive, got {epsilon}")
     if update_stats is None:
         update_stats = training
 
@@ -275,15 +272,14 @@ def batch_norm(
         mean64 = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
         var64 = np.square(x.data.astype(np.float64) - mean64.reshape(1, c, 1, 1)).mean(axis=(0, 2, 3))
         mean = mean64.astype(DTYPE).reshape(1, c, 1, 1)
-        inv = (1.0 / np.sqrt(var64 + epsilon)).astype(DTYPE).reshape(1, c, 1, 1)
+        inv = (1.0 / np.sqrt(var64 + BN_EPSILON)).astype(DTYPE).reshape(1, c, 1, 1)
         if update_stats:
             unbiased = var64 * (m / (m - 1))
-            mom = stats.momentum
-            stats.mean[:] = ((1.0 - mom) * stats.mean + mom * mean64).astype(DTYPE)
-            stats.var[:] = ((1.0 - mom) * stats.var + mom * unbiased).astype(DTYPE)
+            stats.mean[:] = ((1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mean64).astype(DTYPE)
+            stats.var[:] = ((1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * unbiased).astype(DTYPE)
     else:
         mean = stats.mean.astype(DTYPE).reshape(1, c, 1, 1)
-        inv = (1.0 / np.sqrt(stats.var.astype(np.float64) + epsilon)).astype(DTYPE).reshape(1, c, 1, 1)
+        inv = (1.0 / np.sqrt(stats.var.astype(np.float64) + BN_EPSILON)).astype(DTYPE).reshape(1, c, 1, 1)
 
     xhat = (x.data - mean) * inv
     out = gamma.data * xhat + beta.data
@@ -317,17 +313,15 @@ def batch_norm(
 # pointwise
 
 
-def leaky_relu(x: Tensor4, slope: float = 0.2) -> Tensor4:
-    if not (0.0 < slope < 1.0):
-        raise ValueError(f"leaky_relu: slope must lie in (0, 1), got {slope}")
-    # max(x, slope*x) picks x for x >= 0 and slope*x below: for 0 < slope < 1 it
-    # equals the masked select bit for bit (+-0, +-inf and NaN included)
-    out = np.maximum(x.data, slope * x.data)
+def leaky_relu(x: Tensor4) -> Tensor4:
+    # max(x, slope*x) picks x for x >= 0 and slope*x below: as 0 < LEAKY_SLOPE < 1
+    # it equals the masked select bit for bit (+-0, +-inf and NaN included)
+    out = np.maximum(x.data, LEAKY_SLOPE * x.data)
 
     def grad_fn(g: np.ndarray):
         # factor is exactly 1.0 where x >= 0 and float32(slope) elsewhere
         factor = (x.data >= 0).astype(DTYPE)
-        np.maximum(factor, np.float32(slope), out=factor)
+        np.maximum(factor, np.float32(LEAKY_SLOPE), out=factor)
         factor *= g
         return (factor,)
 

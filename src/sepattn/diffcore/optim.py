@@ -16,13 +16,15 @@ import numpy as np
 
 from .tensor import DTYPE, GraphError, Parameter
 
+# CycleGAN's Adam settings, fixed for every model trained here
+BETA1 = 0.5
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
@@ -30,11 +32,6 @@ class AdamState:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"adam: lr must be positive, got {self.lr}")
-        for name, b in (("beta1", self.beta1), ("beta2", self.beta2)):
-            if not (0.0 <= b < 1.0):
-                raise ValueError(f"adam: {name} must lie in [0, 1), got {b}")
-        if self.epsilon <= 0:
-            raise ValueError(f"adam: epsilon must be positive, got {self.epsilon}")
 
 
 def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
@@ -50,8 +47,8 @@ def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
             raise GraphError(f"adam: parameter '{p.id}' has no gradient; run backward first")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for p in plist:
         g = p.tensor.grad
         m = state.m.get(p.id)
@@ -60,13 +57,13 @@ def adam_step(params: Iterable[Parameter], state: AdamState) -> None:
             v = np.zeros_like(p.tensor.data)
         else:
             v = state.v[p.id]
-        m = (state.beta1 * m + (1.0 - state.beta1) * g).astype(DTYPE)
-        v = (state.beta2 * v + (1.0 - state.beta2) * np.square(g)).astype(DTYPE)
+        m = (BETA1 * m + (1.0 - BETA1) * g).astype(DTYPE)
+        v = (BETA2 * v + (1.0 - BETA2) * np.square(g)).astype(DTYPE)
         state.m[p.id] = m
         state.v[p.id] = v
         mhat = m / np.float32(bc1)
         vhat = v / np.float32(bc2)
         p.tensor.data = (
-            p.tensor.data - np.float32(state.lr) * mhat / (np.sqrt(vhat) + np.float32(state.epsilon))
+            p.tensor.data - np.float32(state.lr) * mhat / (np.sqrt(vhat) + np.float32(EPSILON))
         ).astype(DTYPE)
         p.tensor.grad = None

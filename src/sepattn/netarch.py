@@ -52,9 +52,6 @@ PAIR_CHANNELS = 6  # a channel-concatenated (reference, candidate) pair
 GEN_KERNEL = 4
 DISC_KERNEL = 3
 PADDING = 1  # with stride 2, either kernel halves an even size exactly
-LEAKY_SLOPE = 0.2
-BN_EPSILON = 1e-5
-BN_MOMENTUM = 0.1
 
 
 class ConfigError(ValueError):
@@ -130,7 +127,7 @@ class Model:
     def _add_bn(self, stage: str, channels: int) -> None:
         self._add_param(f"{stage}/bn/gamma", np.ones((1, channels, 1, 1), DTYPE))
         self._add_param(f"{stage}/bn/beta", np.zeros((1, channels, 1, 1), DTYPE))
-        self._stats[stage] = RunningStats.create(channels, BN_MOMENTUM)
+        self._stats[stage] = RunningStats.create(channels)
 
     def buffers(self) -> Dict[str, np.ndarray]:
         out: Dict[str, np.ndarray] = {}
@@ -141,17 +138,18 @@ class Model:
 
     # -- forward pieces shared by both networks -------------------------------
 
-    def _bn_leaky(self, x: Tensor4, stage: str, training: bool, update_stats: bool) -> Tensor4:
+    def _bn_leaky(
+        self, x: Tensor4, stage: str, training: bool, update_stats: Optional[bool]
+    ) -> Tensor4:
         x = batch_norm(
             x,
             self.params[f"{stage}/bn/gamma"].tensor,
             self.params[f"{stage}/bn/beta"].tensor,
             self._stats[stage],
             training=training,
-            epsilon=BN_EPSILON,
             update_stats=update_stats,
         )
-        return leaky_relu(x, LEAKY_SLOPE)
+        return leaky_relu(x)
 
     def _check_input(self, x: Tensor4, channels: int, what: str) -> None:
         n, c, h, w = x.shape
@@ -198,7 +196,6 @@ class Generator(Model):
     ) -> Tensor4:
         self._check_input(x, IMAGE_CHANNELS, "generator")
         depth = self.config.depth
-        up = update_stats if update_stats is not None else training
 
         skips: List[Tensor4] = []
         hcur = x
@@ -206,7 +203,7 @@ class Generator(Model):
             hcur = conv2d(
                 hcur, self.params[f"e{i}/conv/weight"].tensor, None, stride=2, padding=PADDING
             )
-            hcur = self._bn_leaky(hcur, f"e{i}", training, up)
+            hcur = self._bn_leaky(hcur, f"e{i}", training, update_stats)
             skips.append(hcur)
 
         for j in range(1, depth + 1):
@@ -215,7 +212,7 @@ class Generator(Model):
             )
             if j == depth:
                 return tanh(hcur)
-            hcur = self._bn_leaky(hcur, f"d{j}", training, up)
+            hcur = self._bn_leaky(hcur, f"d{j}", training, update_stats)
             mirror = depth - j  # encoder stage index (1-based) to merge in
             hcur = concat_channels(hcur, skips[mirror - 1])
         raise AssertionError("unreachable")  # pragma: no cover
@@ -245,13 +242,12 @@ class Discriminator(Model):
         update_stats: Optional[bool] = None,
     ) -> Tensor4:
         self._check_input(pair, PAIR_CHANNELS, "discriminator")
-        up = update_stats if update_stats is not None else training
         hcur = pair
         for i in range(1, self.config.num_layers + 1):
             hcur = conv2d(
                 hcur, self.params[f"c{i}/conv/weight"].tensor, None, stride=2, padding=PADDING
             )
-            hcur = self._bn_leaky(hcur, f"c{i}", training, up)
+            hcur = self._bn_leaky(hcur, f"c{i}", training, update_stats)
         return conv2d(
             hcur,
             self.params["proj/conv/weight"].tensor,

@@ -32,10 +32,12 @@ from .datapipe import (
     ImageRecord,
     PairedSample,
     from_model_space,
+    load_image,
     load_pair,
     to_model_space,
 )
 from .diffcore import AdamState, Tensor4, adam_step, backward
+from .diffcore.ops import BN_EPSILON, BN_MOMENTUM, LEAKY_SLOPE
 from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
@@ -80,8 +82,8 @@ _DISCRIMINATORS = ("disc_x", "disc_y")
 
 # keys of older configs, per section, and the values they may still hold; a
 # nested image_size may also hold the config's own top-level image_size
-_FIXED_LAYERS = {"leaky_slope": (netarch.LEAKY_SLOPE,), "bn_epsilon": (netarch.BN_EPSILON,),
-                 "bn_momentum": (netarch.BN_MOMENTUM,)}
+_FIXED_LAYERS = {"leaky_slope": (LEAKY_SLOPE,), "bn_epsilon": (BN_EPSILON,),
+                 "bn_momentum": (BN_MOMENTUM,)}
 _RETIRED_KEYS = {
     "config": {"gan_kind": ("least_squares",), "shared_region_discriminators": (True,)},
     "generator": {"in_channels": (netarch.IMAGE_CHANNELS,), "kernel": (netarch.GEN_KERNEL,),
@@ -736,9 +738,11 @@ def evaluate(
     model_items = []
     input_items = []
     for i in ids:
-        pair = load_pair(manifest, i)
-        model_items.append((i, pair.clean.pixels, enhance(pair.distorted).pixels))
-        input_items.append((i, pair.clean.pixels, pair.distorted.pixels))
+        # depth plays no part in scoring: only the two images are read
+        distorted = load_image(manifest.path(i, "distorted"))
+        clean = load_image(manifest.path(i, "clean")).pixels
+        model_items.append((i, clean, enhance(distorted).pixels))
+        input_items.append((i, clean, distorted.pixels))
     return EvalResult(
         model=batch_report(model_items, metric_names),
         input_baseline=batch_report(input_items, metric_names),

@@ -555,8 +555,9 @@ class TestBadInvocation:
             (lambda doc: doc["splits"].pop("train"), {}),
             (lambda doc: doc["splits"].update(train=[]), {}),
             (lambda doc: None, {"image_size": 32}),
+            (lambda doc: doc["files"][doc["splits"]["train"][0]].update(clean=5), {}),
         ],
-        ids=["no-train-split", "empty-train-split", "wrong-image-size"],
+        ids=["no-train-split", "empty-train-split", "wrong-image-size", "non-string-path"],
     )
     def test_bad_training_data_writes_nothing(self, dataset, tmp_path, capsys, edit, overrides):
         data = _dataset_with_manifest(dataset, tmp_path / "d", edit)

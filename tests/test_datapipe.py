@@ -292,6 +292,8 @@ class TestSyntheticDataset:
             (lambda doc: doc["splits"].update(train="00000"), "split 'train' must be a list"),
             (lambda doc: doc["splits"]["test"].append("00001"), "'00001' appears in both 'test' and 'train'"),
             (lambda doc: doc.update(depth_missing="false"), "'depth_missing' must be true or false"),
+            (lambda doc: doc["files"]["00001"].update(clean=5), "'00001' has a non-string 'clean' path: 5"),
+            (lambda doc: doc["files"]["00000"].update(depth=None), "'00000' has a non-string 'depth' path: None"),
         ],
     )
     def test_malformed_manifest_is_layout_error(self, tmp_path, edit, match):

@@ -124,14 +124,22 @@ class TestGenerator:
         with pytest.raises(ShapeError, match="channels"):
             gen.forward(rand_img(c=1), training=True)
 
-    def test_train_forward_updates_buffers_eval_does_not(self):
-        gen = netarch.Generator(DESK_GEN, 64, seed=0)
-        before = {k: v.copy() for k, v in gen.buffers().items()}
-        gen.forward(rand_img(seed=5), training=False)
-        for k, v in gen.buffers().items():
-            assert np.array_equal(v, before[k]), k
-        gen.forward(rand_img(seed=5), training=True)
-        assert any(not np.array_equal(v, before[k]) for k, v in gen.buffers().items())
+
+@pytest.mark.parametrize(
+    "build,channels",
+    [(lambda: netarch.Generator(DESK_GEN, 64), 3), (lambda: netarch.Discriminator(DESK_DISC, 64), 6)],
+    ids=["generator", "discriminator"],
+)
+@pytest.mark.parametrize(
+    "training,update_stats", [(True, None), (True, True), (True, False), (False, None)]
+)
+def test_norm_buffers_update_in_training_unless_disabled(build, channels, training, update_stats):
+    model = build()
+    before = {k: v.copy() for k, v in model.buffers().items()}
+    model.forward(rand_img(c=channels, seed=5), training=training, update_stats=update_stats)
+    changed = {k for k, v in model.buffers().items() if not np.array_equal(v, before[k])}
+    expected = set(before) if training and update_stats is not False else set()
+    assert changed == expected
 
 
 class TestDiscriminator:

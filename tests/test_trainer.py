@@ -890,3 +890,17 @@ class TestEvaluate:
     def test_empty_split_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="empty"):
             evaluate("identity", tiny_dataset, split="val")
+
+    def test_scores_without_reading_depth(self, tiny_dataset, monkeypatch):
+        cfg = tiny_config()
+        models = build_models(cfg)
+        bundle = bundle_from_live(models, build_optimizers(models, cfg.lr), cfg, 0, 0)
+        want = evaluate(bundle, tiny_dataset, split="train")
+
+        def no_depth(path):
+            raise AssertionError(f"evaluate read depth {path}")
+
+        monkeypatch.setattr(datapipe, "load_depth", no_depth)
+        got = evaluate(bundle, tiny_dataset, split="train")
+        assert got.model.to_csv() == want.model.to_csv()
+        assert got.input_baseline.to_csv() == want.input_baseline.to_csv()

@@ -199,6 +199,9 @@ def cmd_eval(args) -> int:
         return _fail_usage(
             f"unknown metrics {unknown or '(none given)'}; known: {', '.join(KNOWN_METRICS)}"
         )
+    repeated = sorted({m for m in metric_names if metric_names.count(m) > 1})
+    if repeated:
+        return _fail_usage(f"metrics named more than once: {', '.join(repeated)}")
     try:
         manifest = load_manifest(args.data)
         if args.split not in manifest.splits:
@@ -209,6 +212,9 @@ def cmd_eval(args) -> int:
             return _fail_usage(f"split {args.split!r} is empty")
     except (LayoutError, OSError) as exc:
         return _fail_runtime(str(exc))
+    # fail before minutes of scoring, not after
+    if args.csv and not Path(args.csv).parent.is_dir():
+        return _fail_runtime(f"cannot write CSV: no directory {Path(args.csv).parent}")
     try:
         result = evaluate(
             args.checkpoint, manifest, split=args.split, metric_names=metric_names

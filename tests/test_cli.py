@@ -406,11 +406,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert test_id in err and "Traceback" not in err
 
-    def test_csv_in_missing_directory_is_runtime_error(self, dataset, tmp_path, capsys):
+    def test_csv_in_missing_directory_is_runtime_error(self, dataset, tmp_path, capsys,
+                                                       monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("scored images before checking the CSV path")
+
+        monkeypatch.setattr(cli, "evaluate", never)
         csv = tmp_path / "nodir" / "x.csv"
         assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),
                        "--csv", str(csv)) == 1
         assert capsys.readouterr().err.startswith("error: cannot write CSV")
+        assert not csv.exists()
+
+    def test_repeated_metric_is_usage_error(self, dataset, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),
+                       "--metrics", "psnr,psnr,ssim", "--csv", str(csv)) == 2
+        assert "more than once: psnr" in capsys.readouterr().err
         assert not csv.exists()
 
     def test_unknown_split_is_usage_error(self, dataset):

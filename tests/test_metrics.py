@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sepattn import metrics
+from sepattn.datapipe import DegradeParams, generate_synthetic_dataset, load_image
 from sepattn.metrics import MetricInputError
 
 
@@ -53,6 +54,97 @@ def ref_ssim_global(a, b):
 
 def gray(value, h=16, w=16):
     return np.full((3, h, w), value, np.uint8)
+
+
+# ---------------------------------------------------------------------------
+# UIQM in its plain float64 form: stable sort, per-plane np.pad Sobel and
+# strided block reductions. The module's exact shortcuts must match it bytewise.
+
+
+def ref_trimmed_mean(values):
+    s = np.sort(values, kind="stable")
+    k = s.size
+    t_lo = int(np.ceil(0.1 * k))
+    t_hi = int(np.floor(0.1 * k))
+    kept = k - t_lo - t_hi
+    if kept <= 0:
+        return 0.0
+    return float(s[t_lo : k - t_hi].sum() / kept)
+
+
+def ref_uicm(image):
+    img = image.astype(np.float64)
+    rg = (img[0] - img[1]).reshape(-1)
+    yb = ((img[0] + img[1]) / 2.0 - img[2]).reshape(-1)
+    mu_rg = ref_trimmed_mean(rg)
+    mu_yb = ref_trimmed_mean(yb)
+    var_rg = float(np.mean((rg - mu_rg) ** 2))
+    var_yb = float(np.mean((yb - mu_yb) ** 2))
+    return -0.0268 * float(np.hypot(mu_rg, mu_yb)) + 0.1586 * float(np.sqrt(var_rg + var_yb))
+
+
+def ref_sobel_magnitude(plane, magnitude=np.hypot):
+    p = np.pad(plane, 1, mode="symmetric")
+    gx = (p[:-2, 2:] + 2.0 * p[1:-1, 2:] + p[2:, 2:]) - (p[:-2, :-2] + 2.0 * p[1:-1, :-2] + p[2:, :-2])
+    gy = (p[2:, :-2] + 2.0 * p[2:, 1:-1] + p[2:, 2:]) - (p[:-2, :-2] + 2.0 * p[:-2, 1:-1] + p[:-2, 2:])
+    return magnitude(gx, gy)
+
+
+def ref_blocks(plane):
+    k1, k2 = plane.shape[0] // 8, plane.shape[1] // 8
+    return plane[: k1 * 8, : k2 * 8].reshape(k1, 8, k2, 8).swapaxes(1, 2)
+
+
+def ref_eme(plane):
+    b = ref_blocks(plane)
+    bmax = b.max(axis=(2, 3))
+    bmin = b.min(axis=(2, 3))
+    ok = (bmin > 0) & (bmax > 0)
+    total = float(np.sum(np.log(bmax[ok] / bmin[ok])))
+    k1, k2 = b.shape[:2]
+    return 2.0 / (k1 * k2) * total
+
+
+def ref_uism(image, magnitude=np.hypot):
+    total = 0.0
+    for weight, plane in zip((0.299, 0.587, 0.114), image.astype(np.float64)):
+        total += weight * ref_eme(ref_sobel_magnitude(plane, magnitude) * plane)
+    return total
+
+
+def ref_uiconm(image):
+    f = image.astype(np.float64)
+    b = ref_blocks(0.299 * f[0] + 0.587 * f[1] + 0.114 * f[2])
+    bmax = b.max(axis=(2, 3))
+    bmin = b.min(axis=(2, 3))
+    top = bmax - bmin
+    bot = bmax + bmin
+    ok = (bot > 0) & (top > 0)
+    m = top[ok] / bot[ok]
+    k1, k2 = b.shape[:2]
+    return -1.0 / (k1 * k2) * float(np.sum(m * np.log(m)))
+
+
+def ref_uiqm(image):
+    return 0.0282 * ref_uicm(image) + 0.2953 * ref_uism(image) + 3.5753 * ref_uiconm(image)
+
+
+def uiqm_cases():
+    rng = np.random.default_rng(31)
+    cases = []
+    for h, w in ((8, 8), (9, 17), (61, 45), (64, 64), (256, 256)):
+        lo = int(rng.integers(0, 250))
+        cases += [
+            (f"random-{h}x{w}", rng.integers(0, 256, (3, h, w), dtype=np.uint8)),
+            (f"narrow-{h}x{w}", rng.integers(lo, lo + 6, (3, h, w), dtype=np.uint8)),
+            (f"binary-{h}x{w}", (rng.integers(0, 2, (3, h, w)) * 255).astype(np.uint8)),
+            (f"zeros-{h}x{w}", np.zeros((3, h, w), np.uint8)),
+            (f"full-{h}x{w}", np.full((3, h, w), 255, np.uint8)),
+        ]
+    return cases
+
+
+UIQM_CASES = uiqm_cases()
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +321,7 @@ class TestUiqmComponents:
             + 0.2953 * metrics.uism(img)
             + 3.5753 * metrics.uiconm(img)
         )
-        assert metrics.uiqm(img) == pytest.approx(parts, rel=1e-9)
+        assert metrics.uiqm(img) == parts
 
     def test_uiqm_prefers_vivid_over_flat(self):
         rng = np.random.default_rng(4)
@@ -244,6 +336,50 @@ class TestUiqmComponents:
     def test_too_small_for_blocks_rejected(self):
         with pytest.raises(MetricInputError, match="block"):
             metrics.uiqm(np.zeros((3, 4, 4), np.uint8))
+
+    @pytest.mark.parametrize("term", [metrics.uism, metrics.uiconm])
+    @pytest.mark.parametrize("shape", [(3, 7, 64), (3, 64, 7)])
+    def test_block_terms_reject_under_one_block(self, term, shape):
+        with pytest.raises(MetricInputError, match="block"):
+            term(np.zeros(shape, np.uint8))
+
+
+class TestUiqmBitExact:
+    @staticmethod
+    def assert_same_bytes(img):
+        for name, ref in (("uicm", ref_uicm), ("uism", ref_uism),
+                          ("uiconm", ref_uiconm), ("uiqm", ref_uiqm)):
+            got = np.float64(getattr(metrics, name)(img)).tobytes()
+            assert got == np.float64(ref(img)).tobytes(), name
+
+    @pytest.mark.parametrize("img", [c for _, c in UIQM_CASES],
+                             ids=[label for label, _ in UIQM_CASES])
+    def test_matches_float64_reference_bytewise(self, img):
+        self.assert_same_bytes(img)
+
+    def test_rendered_scenes_match_float64_reference_bytewise(self, tmp_path):
+        generate_synthetic_dataset(40, 64, DegradeParams(), seed=8, out_root=tmp_path)
+        paths = sorted(tmp_path.glob("*/*.ppm"))
+        assert len(paths) == 80
+        for path in paths:
+            self.assert_same_bytes(load_image(path).pixels)
+
+    def test_hypot_rounding_reaches_uism_bytes(self):
+        # on this single block, sqrt(gx*gx + gy*gy) rounds one block extreme
+        # differently from np.hypot, and UISM's bytes show it
+        img = np.random.default_rng(675).integers(100, 256, (3, 8, 8), dtype=np.uint8)
+        sqrt_uism = ref_uism(img, magnitude=lambda gx, gy: np.sqrt(gx * gx + gy * gy))
+        assert np.float64(sqrt_uism).tobytes() != np.float64(ref_uism(img)).tobytes()
+        self.assert_same_bytes(img)
+
+    def test_trimmed_mean_ignores_order(self):
+        rng = np.random.default_rng(32)
+        img = rng.integers(0, 256, (3, 64, 64)).astype(np.float64)
+        values = ((img[0] + img[1]) / 2.0 - img[2]).reshape(-1)
+        want = np.float64(ref_trimmed_mean(values)).tobytes()
+        for _ in range(3):
+            got = metrics._trimmed_mean(rng.permutation(values))
+            assert np.float64(got).tobytes() == want
 
 
 class TestBatchReport:
@@ -302,6 +438,10 @@ class TestBatchReport:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             metrics.batch_report(self._items(n=1), metrics=("psnr", "vmaf"))
+
+    def test_repeated_metric_rejected(self):
+        with pytest.raises(ValueError, match="more than once.*psnr"):
+            metrics.batch_report(self._items(n=1), metrics=("psnr", "psnr", "ssim"))
 
     def test_missing_reference_rejected_for_full_reference_metric(self):
         items = [("a", None, gray(5))]

@@ -11,6 +11,13 @@ Backward closures compute a gradient only for operands that are tracked
 (``requires_grad`` set, or produced by another tracked op); an untracked
 operand, such as a frozen weight or a constant mask, gets ``None`` and costs
 nothing.
+
+A closure keeps only its operands, views of their data and per-channel
+vectors; what a parent can rebuild exactly is recomputed in backward instead
+of held for the life of the graph. ``conv2d`` rebuilds its im2col matrix from
+``x``, and only when the weight is tracked; ``batch_norm`` rebuilds x̂ from
+``x`` and the per-channel mean and inverse deviation it captured. The rebuilt
+arrays are byte-equal to the forward's, so gradients are unchanged.
 """
 from __future__ import annotations
 
@@ -79,13 +86,17 @@ def _pad(a: np.ndarray, padding: int) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """(N, C, Hp, Wp) -> (N, C*kh*kw, oh*ow) patch matrix."""
+    """(N, C, Hp, Wp) -> (N, C*kh*kw, oh*ow) patch matrix.
+
+    One copy out of a read-only strided view; where the patches already lie in
+    that order (1x1, stride 1) the result is a view of ``xp``.
+    """
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    sn, sc, sh, sw = xp.strides
+    patches = np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, stride * sh, stride * sw), writeable=False
+    )
+    return patches.reshape(n, c * kh * kw, oh * ow)
 
 
 def _col2im(
@@ -163,6 +174,7 @@ def conv2d(
             gcols = np.matmul(w_mat.T, g_mat)  # (N, K, L)
             grad_x = _col2im(gcols, n, cin, h, w, kh, kw, stride, padding, oh, ow)
         if _live(weight):
+            cols = _im2col(_pad(x.data, padding), kh, kw, stride, oh, ow)  # (N, K, L), rebuilt
             grad_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         if _live(bias):
             grad_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1).astype(DTYPE)
@@ -270,7 +282,11 @@ def batch_norm(
                 f"(batch*H*W = {m} for input {x.shape}); variance is undefined"
             )
         mean64 = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
-        var64 = np.square(x.data.astype(np.float64) - mean64.reshape(1, c, 1, 1)).mean(axis=(0, 2, 3))
+        dev64 = x.data.astype(np.float64)
+        dev64 -= mean64.reshape(1, c, 1, 1)
+        np.square(dev64, out=dev64)
+        var64 = dev64.mean(axis=(0, 2, 3))
+        del dev64  # freed before the output is allocated
         mean = mean64.astype(DTYPE).reshape(1, c, 1, 1)
         inv = (1.0 / np.sqrt(var64 + BN_EPSILON)).astype(DTYPE).reshape(1, c, 1, 1)
         if update_stats:
@@ -281,11 +297,16 @@ def batch_norm(
         mean = stats.mean.astype(DTYPE).reshape(1, c, 1, 1)
         inv = (1.0 / np.sqrt(stats.var.astype(np.float64) + BN_EPSILON)).astype(DTYPE).reshape(1, c, 1, 1)
 
-    xhat = (x.data - mean) * inv
-    out = gamma.data * xhat + beta.data
+    # mean and inv are per-channel copies: a later running-stats update leaves them be
+    out = x.data - mean
+    out *= inv
+    out *= gamma.data
+    out += beta.data
 
     def grad_fn(g: np.ndarray):
         grad_x = dgamma = dbeta = None
+        if _live(gamma) or (training and _live(x)):
+            xhat = (x.data - mean) * inv  # rebuilt: bytes equal to the forward's
         if _live(gamma):
             dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64)
             dgamma = dgamma.astype(DTYPE).reshape(1, c, 1, 1)
@@ -306,7 +327,7 @@ def batch_norm(
                 grad_x = dxhat * inv
         return grad_x, dgamma, dbeta
 
-    return _make(out.astype(DTYPE, copy=False), (x, gamma, beta), grad_fn)
+    return _make(out, (x, gamma, beta), grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -559,13 +559,16 @@ def restore_into(
 def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
     """The X->Y generator (``gen_xy``) of a checkpoint path or loaded bundle.
 
-    Builds that one model only: no discriminators and no optimizer state.
+    Builds that one model only: no discriminators and no optimizer state. Its
+    parameters are untracked, so forwards through it build no graph.
     """
     bundle = checkpoint if isinstance(checkpoint, CheckpointBundle) else load_checkpoint(checkpoint)
     config = TrainConfig.from_dict(bundle.config)
     config.validate()
     gen = Generator(config.generator, config.image_size)
     restore_into(bundle, {"gen_xy": gen}, {})
+    for p in gen.params.values():
+        p.tensor.requires_grad = False
     return gen
 
 

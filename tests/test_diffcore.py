@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from sepattn import diffcore as dc
+from sepattn import losses, trainer
 from sepattn.diffcore import ops
+from sepattn.diffcore.tensor import topo_order
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +57,16 @@ def ref_conv_transpose2d(y, w, stride, padding):
     if padding:
         return full[:, :, padding:-padding, padding:-padding]
     return full
+
+
+def ref_im2col(xp, kh, kw, stride, oh, ow):
+    """Patch matrix (N, C*kh*kw, oh*ow) filled one kernel tap at a time."""
+    n, c = xp.shape[:2]
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 def t4(arr, requires_grad=False):
@@ -336,7 +348,7 @@ def conv2d_with_np_pad(x, w, b, stride, padding):
     cout, _, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
-    cols = ops._im2col(ref_pad(x, padding), kh, kw, stride, oh, ow)
+    cols = ref_im2col(ref_pad(x, padding), kh, kw, stride, oh, ow)
     out = np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, oh, ow)
     return out + b if b is not None else out
 
@@ -373,11 +385,29 @@ class TestBitExactFastPaths:
         up = ops.conv_transpose2d(yt, wt, stride, padding)
         g = rng.standard_normal(up.shape).astype(np.float32)
         grad_y, grad_w = up._grad_fn(g)
-        gcols = ops._im2col(ref_pad(g, padding), 4, 4, stride, *out.shape[2:])
+        gcols = ref_im2col(ref_pad(g, padding), 4, 4, stride, *out.shape[2:])
         want_y = np.matmul(w.reshape(4, -1), gcols).reshape(out.shape)
         want_w = np.matmul(yt.data.reshape(2, 4, -1), gcols.transpose(0, 2, 1)).sum(axis=0)
         assert grad_y.tobytes() == want_y.tobytes()
         assert grad_w.tobytes() == want_w.reshape(w.shape).tobytes()
+
+    @pytest.mark.parametrize(
+        "shape,k,stride,padding",
+        [
+            ((2, 3, 16, 16), 4, 2, 1),  # generator encoder
+            ((2, 6, 16, 16), 3, 2, 1),  # discriminator stages
+            ((2, 16, 4, 4), 1, 1, 0),  # discriminator head
+            ((3, 2, 11, 9), 3, 2, 2),  # odd sizes, and a stride that drops the last column
+        ],
+    )
+    def test_im2col_matches_tap_loop_bytewise(self, shape, k, stride, padding):
+        x = awkward(np.random.default_rng(16), shape)
+        oh = (shape[2] + 2 * padding - k) // stride + 1
+        ow = (shape[3] + 2 * padding - k) // stride + 1
+        for xp in (ref_pad(x, padding), ref_pad(x, padding)[:, ::-1]):  # contiguous, strided
+            got = ops._im2col(xp, k, k, stride, oh, ow)
+            want = ref_im2col(xp, k, k, stride, oh, ow)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("frozen", ["weight", "bias", "both"])
     def test_conv2d_skips_gradients_of_untracked_operands(self, frozen):
@@ -421,6 +451,145 @@ class TestBitExactFastPaths:
                 assert part[slot] is None
             else:
                 assert part[slot].tobytes() == full[slot].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# backward closures that rebuild instead of hold, against ones that hold
+
+
+def conv2d_keep_all(x, w, b, stride, padding, g):
+    """conv2d forward and (grad_x, grad_w, grad_b), the patch matrix held from the forward."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    cols = ref_im2col(ref_pad(x, padding), kh, kw, stride, oh, ow)
+    w_mat = w.reshape(cout, -1)
+    out = np.matmul(w_mat, cols).reshape(n, cout, oh, ow)
+    if b is not None:
+        out = out + b
+    g_mat = g.reshape(n, cout, oh * ow)
+    grad_x = ops._col2im(np.matmul(w_mat.T, g_mat), n, cin, h, wd, kh, kw, stride, padding, oh, ow)
+    grad_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+    grad_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1).astype(np.float32)
+    return out, (grad_x, grad_w, grad_b)
+
+
+def batch_norm_keep_all(x, gamma, beta, stats, training, update_stats, g):
+    """batch_norm forward and (grad_x, dgamma, dbeta) from x̂ held since the forward."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    mom, f32 = ops.BN_MOMENTUM, np.float32
+    if training:
+        mean64 = x.mean(axis=(0, 2, 3), dtype=np.float64)
+        var64 = np.square(x.astype(np.float64) - mean64.reshape(1, c, 1, 1)).mean(axis=(0, 2, 3))
+        mean = mean64.astype(f32).reshape(1, c, 1, 1)
+        inv = (1.0 / np.sqrt(var64 + ops.BN_EPSILON)).astype(f32).reshape(1, c, 1, 1)
+        if update_stats:
+            unbiased = var64 * (m / (m - 1))
+            stats.mean[:] = ((1.0 - mom) * stats.mean + mom * mean64).astype(f32)
+            stats.var[:] = ((1.0 - mom) * stats.var + mom * unbiased).astype(f32)
+    else:
+        mean = stats.mean.astype(f32).reshape(1, c, 1, 1)
+        inv = (1.0 / np.sqrt(stats.var.astype(np.float64) + ops.BN_EPSILON)).astype(f32).reshape(1, c, 1, 1)
+    xhat = (x - mean) * inv
+    out = gamma * xhat + beta
+
+    def channel_sum(a):
+        return a.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
+
+    dxhat = g * gamma
+    if training:
+        grad_x = (inv / m) * (m * dxhat - channel_sum(dxhat) - xhat * channel_sum(dxhat * xhat))
+    else:
+        grad_x = dxhat * inv
+    return out, (grad_x, channel_sum(g * xhat), channel_sum(g))
+
+
+def assert_grads_match(got, want, tracked):
+    for slot, (gv, wv, live) in enumerate(zip(got, want, tracked)):
+        if live:
+            assert gv.dtype == np.float32 and gv.tobytes() == wv.tobytes(), f"slot {slot}"
+        else:
+            assert gv is None, f"slot {slot}"
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("k,stride,padding", [(4, 2, 1), (3, 2, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("weight_tracked", [True, False])
+    def test_conv2d_matches_held_patch_matrix(self, k, stride, padding, with_bias, weight_tracked):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 5, 12, 12)).astype(np.float32)
+        w = (rng.standard_normal((6, 5, k, k)) * 0.3).astype(np.float32)
+        b = rng.standard_normal((1, 6, 1, 1)).astype(np.float32) if with_bias else None
+        out = ops.conv2d(
+            t4(x, True), t4(w, weight_tracked), t4(b, True) if with_bias else None, stride, padding
+        )
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        want_out, want = conv2d_keep_all(x, w, b, stride, padding, g)
+        assert out.data.tobytes() == want_out.astype(np.float32).tobytes()
+        got = out._grad_fn(g)
+        assert len(got) == (3 if with_bias else 2)
+        assert_grads_match(got, want, (True, weight_tracked, True))
+
+    @pytest.mark.parametrize(
+        "training,update_stats", [(True, True), (True, False), (False, False)],
+        ids=["train", "train-no-update", "eval"],
+    )
+    @pytest.mark.parametrize("affine_tracked", [(True, True), (True, False), (False, True), (False, False)])
+    def test_batch_norm_matches_held_xhat(self, training, update_stats, affine_tracked):
+        rng = np.random.default_rng(18)
+        x = (rng.standard_normal((3, 4, 5, 6)) * 2 + 0.5).astype(np.float32)
+        gamma = rng.uniform(0.5, 1.5, (1, 4, 1, 1)).astype(np.float32)
+        beta = rng.standard_normal((1, 4, 1, 1)).astype(np.float32)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        lean_stats = ops.RunningStats(
+            mean=rng.standard_normal(4).astype(np.float32),
+            var=rng.uniform(0.5, 2.0, 4).astype(np.float32),
+        )
+        ref_stats = ops.RunningStats(lean_stats.mean.copy(), lean_stats.var.copy())
+        out = ops.batch_norm(
+            t4(x, True), t4(gamma, affine_tracked[0]), t4(beta, affine_tracked[1]),
+            lean_stats, training, update_stats,
+        )
+        want_out, want = batch_norm_keep_all(x, gamma, beta, ref_stats, training, update_stats, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert lean_stats.mean.tobytes() == ref_stats.mean.tobytes()
+        assert lean_stats.var.tobytes() == ref_stats.var.tobytes()
+        # a later update of the running buffers must not reach the rebuilt x̂
+        ops.batch_norm(t4(x * 3), t4(gamma), t4(beta), lean_stats, training=True)
+        assert_grads_match(out._grad_fn(g), want, (True,) + affine_tracked)
+
+    def test_closures_hold_no_rebuildable_buffers(self):
+        models = trainer.build_models(trainer.desk_config())
+        rng = np.random.default_rng(19)
+        x, y = (t4(rng.uniform(-1, 1, (2, 3, 64, 64))) for _ in range(2))
+        depth = rng.uniform(0, 1, (64, 64)).astype(np.float32)
+        total, _ = losses.full_generator_loss(x, y, depth, models)
+        nodes = topo_order(total)
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        held = {id(owner(t.data)) for t in nodes}
+        in_graph = {id(t) for t in nodes}
+        widest = max(t.shape[1] for t in nodes)  # a per-channel vector has this many values at most
+        checked = 0
+        for node in nodes:
+            if node._grad_fn is None:
+                continue
+            for cell in node._grad_fn.__closure__ or ():
+                v = cell.cell_contents
+                if isinstance(v, dc.Tensor4):
+                    assert id(v) in in_graph, f"{node}: closure holds a tensor outside the graph"
+                elif isinstance(v, np.ndarray) and v.size > widest:
+                    checked += 1
+                    owned = id(owner(v)) in held
+                    assert owned, f"{node}: closure holds a {v.shape} array no graph tensor owns"
+        assert checked > 0  # the walk saw the weight and activation views
 
 
 # ---------------------------------------------------------------------------

@@ -701,18 +701,25 @@ class TestCheckpoint:
         cfg, models, optims = self._live(dataset=tiny_dataset, steps=2)
         p = tmp_path / "c.satt"
         save_checkpoint(bundle_from_live(models, optims, cfg, 1, 2), p)
-        x = trainer._stack_batch(first_batch(tiny_dataset, cfg))[0]
+        batch = first_batch(tiny_dataset, cfg)
+        x = trainer._stack_batch(batch)[0]
+        rec = batch[0].distorted
 
         # reference: every model and its optimizer state restored, then gen_xy
         ref_models = build_models(cfg)
         restore_into(load_checkpoint(p), ref_models, build_optimizers(ref_models, cfg.lr))
         ref = ref_models["gen_xy"]
         want = ref.forward(x, training=False).data.tobytes()
+        want_rec = trainer.enhance_record(ref, rec).pixels.tobytes()
 
         for source in (p, load_checkpoint(p)):
             gen = load_generator(source)
             assert model_bytes(gen) == model_bytes(ref)
-            assert gen.forward(x, training=False).data.tobytes() == want
+            # untracked parameters: eval-mode forwards build no graph
+            assert not any(q.tensor.requires_grad for q in gen.params.values())
+            out = gen.forward(x, training=False)
+            assert out._grad_fn is None and out.data.tobytes() == want
+            assert trainer.enhance_record(gen, rec).pixels.tobytes() == want_rec
 
     def test_load_generator_without_generator_tensors(self, tmp_path):
         cfg, models, optims = self._live(steps=0)

@@ -9,7 +9,7 @@ finite or lies outside [0, 1] is rejected, never clipped.
 """
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -60,27 +60,27 @@ def _broadcast_depth(depth: np.ndarray, batch: int, channels: int) -> np.ndarray
     return np.ascontiguousarray(d, dtype=DTYPE)
 
 
-def region_masks(depth: np.ndarray, batch: int, channels: int) -> Tuple[Tensor4, Tensor4]:
-    """Constant (fg, bg) mask tensors: D and 1 - D, broadcast to (N, C, H, W)."""
-    full = _broadcast_depth(validate_depth(depth), batch, channels)
-    return Tensor4(full), Tensor4(np.float32(1.0) - full)
+def region_masks(depth: np.ndarray, shape: Tuple[int, int, int, int]) -> Tuple[Tensor4, Tensor4]:
+    """Constant (fg, bg) mask tensors for images of ``shape`` (N, C, H, W): D and 1 - D.
 
-
-def split(
-    images: Tensor4,
-    depth: Union[np.ndarray, "np.typing.ArrayLike"],
-) -> Tuple[Tensor4, Tensor4]:
-    """Split a batch into (foreground, background) along the depth map.
-
-    ``depth`` is (H, W) — shared by the whole batch — or (N, H, W). Gradients
-    flow through the images only; the masks are constants.
+    ``depth`` is (H, W) — shared by the whole batch — or (N, H, W). Validated
+    and broadcast once; every :func:`split` of images of that shape reuses the pair.
     """
-    n, c, h, w = images.shape
+    n, c, h, w = shape
     d = np.asarray(depth)
     if d.shape[-2:] != (h, w):
         raise ShapeError(
             f"depth spatial dims {d.shape[-2:]} do not match image dims {(h, w)} "
-            f"(images {images.shape}, depth {d.shape})"
+            f"(images {tuple(shape)}, depth {d.shape})"
         )
-    fg_mask, bg_mask = region_masks(d, n, c)
+    full = _broadcast_depth(validate_depth(d), n, c)
+    return Tensor4(full), Tensor4(np.float32(1.0) - full)
+
+
+def split(images: Tensor4, masks: Tuple[Tensor4, Tensor4]) -> Tuple[Tensor4, Tensor4]:
+    """Split a batch into (foreground, background) with the :func:`region_masks` pair.
+
+    Gradients flow through the images only; the masks are constants.
+    """
+    fg_mask, bg_mask = masks
     return mul(images, fg_mask), mul(images, bg_mask)

@@ -11,11 +11,10 @@ from .tensor import (  # noqa: F401
 from .ops import (  # noqa: F401
     RunningStats,
     add,
-    batch_norm,
+    batch_norm_leaky,
     concat_channels,
     conv2d,
     conv_transpose2d,
-    leaky_relu,
     mean_abs,
     mean_sq,
     mul,

@@ -152,7 +152,7 @@ def _rand(rng: np.random.Generator, *shape: int, lo: float = -1.0, hi: float = 1
 
 
 def _rand_away_from_kink(rng: np.random.Generator, *shape: int, gap: float = 0.15) -> Tensor4:
-    """Grid values with |x| >= gap, for kinked ops (leaky_relu, mean_abs)."""
+    """Grid values with |x| >= gap, for kinked ops (mean_abs)."""
     mag = rng.uniform(gap, 1.0, size=shape)
     sign = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
     return Tensor4(_snap(mag * sign))
@@ -177,36 +177,37 @@ def _case_conv_transpose2d(rng):
     return (lambda y, w: ops.conv_transpose2d(y, w, stride=2, padding=1)), [y, w]
 
 
-def _case_batch_norm(rng):
-    x = _rand(rng, 3, 4, 5, 5, lo=-0.5, hi=0.5)
-    gamma = _rand(rng, 1, 4, 1, 1, lo=0.75, hi=1.75)
-    beta = _rand(rng, 1, 4, 1, 1)
+def _case_batch_norm_leaky_train(rng):
+    # every channel holds mirrored pairs +-v with |v| in [0.5, 1], so its batch
+    # mean is exactly 0 and |x̂| >= 0.5; with gamma >= 0.75 and |beta| <= 0.2
+    # each pre-activation stays >= 0.175 away from the kink
+    half = np.where(rng.random((16, 4)) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 1.0, (16, 4))
+    vals = rng.permuted(np.concatenate([half, -half]), axis=0)  # (32, C)
+    x = Tensor4(_snap(np.ascontiguousarray(vals.T.reshape(4, 2, 4, 4).transpose(1, 0, 2, 3))))
+    gamma = _rand(rng, 1, 4, 1, 1, lo=0.75, hi=1.5)
+    beta = _rand(rng, 1, 4, 1, 1, lo=-0.2, hi=0.2)
     stats = ops.RunningStats.create(4)
 
     def f(x, gamma, beta):
-        return ops.batch_norm(x, gamma, beta, stats, training=True, update_stats=False)
+        return ops.batch_norm_leaky(x, gamma, beta, stats, training=True, update_stats=False)
 
     return f, [x, gamma, beta]
 
 
-def _case_batch_norm_eval(rng):
-    x = _rand(rng, 2, 3, 4, 4, lo=-2.0, hi=2.0)
-    gamma = _rand(rng, 1, 3, 1, 1, lo=0.5, hi=1.5)
-    beta = _rand(rng, 1, 3, 1, 1)
-    stats = ops.RunningStats(
-        mean=_snap(rng.uniform(-0.5, 0.5, 3)),
-        var=_snap(rng.uniform(0.5, 1.5, 3)),
-    )
+def _case_batch_norm_leaky_eval(rng):
+    # x sits 0.75..2 from the running mean and var <= 1.5, so |x̂| >= 0.61;
+    # with gamma >= 0.75 and |beta| <= 0.2 the pre-activation stays >= 0.25 from the kink
+    mean = _snap(rng.uniform(-0.5, 0.5, 3))
+    stats = ops.RunningStats(mean=mean, var=_snap(rng.uniform(0.5, 1.5, 3)))
+    sign = np.where(rng.random((2, 3, 4, 4)) < 0.5, -1.0, 1.0)
+    x = Tensor4(_snap(sign * rng.uniform(0.75, 2.0, (2, 3, 4, 4))) + mean.reshape(1, 3, 1, 1))
+    gamma = _rand(rng, 1, 3, 1, 1, lo=0.75, hi=1.5)
+    beta = _rand(rng, 1, 3, 1, 1, lo=-0.2, hi=0.2)
 
     def f(x, gamma, beta):
-        return ops.batch_norm(x, gamma, beta, stats, training=False)
+        return ops.batch_norm_leaky(x, gamma, beta, stats, training=False)
 
     return f, [x, gamma, beta]
-
-
-def _case_leaky_relu(rng):
-    x = _rand_away_from_kink(rng, 2, 3, 6, 6)
-    return (lambda x: ops.leaky_relu(x)), [x]
 
 
 def _case_tanh(rng):
@@ -251,25 +252,32 @@ def _case_concat_channels(rng):
 
 
 def _case_composite(rng):
-    """conv -> bn -> tanh -> mean_sq chain, end to end.
+    """conv -> batch_norm_leaky -> tanh -> mean_sq chain, end to end.
 
-    tanh rather than leaky_relu here: batch norm centers its outputs, so a
-    kinked activation would sit near its slope change for some elements and a
-    +/-eps probe would straddle the kink, measuring nothing about the chain
-    rule. (leaky_relu's own gradient is covered by its dedicated case, with
-    inputs bounded away from the kink.)
+    Batch norm centers its inputs, so a random beta could put a pre-activation
+    next to the leaky kink, where a +/-eps probe straddles it and measures
+    nothing about the chain rule. Each channel's beta is therefore snapped to
+    the middle of the widest gap between its four gamma * x̂ values, which
+    keeps every pre-activation at least 0.4 from the kink. tanh bounds the
+    outputs, so the float32 rounding of the scalar loss stays small against
+    the gradients that reach x and w through the normalization.
     """
     x = _rand(rng, 1, 2, 4, 4)
     w = _rand(rng, 3, 2, 4, 4, lo=-0.7, hi=0.7)
     gamma = _rand(rng, 1, 3, 1, 1, lo=1.0, hi=2.0)
-    beta = _rand(rng, 1, 3, 1, 1)
+    h = ops.conv2d(x, w, None, stride=2, padding=1).data.astype(np.float64)  # (1, 3, 2, 2)
+    xhat = (h - h.mean(axis=(0, 2, 3), keepdims=True)) / h.std(axis=(0, 2, 3), keepdims=True)
+    pre = np.sort((gamma.data * xhat).reshape(3, 4), axis=1)
+    widest = np.argmax(np.diff(pre, axis=1), axis=1)
+    rows = np.arange(3)
+    mid = (pre[rows, widest] + pre[rows, widest + 1]) / 2
+    beta = Tensor4(_snap(-mid).reshape(1, 3, 1, 1))
     stats = ops.RunningStats.create(3)
 
     def f(x, w, gamma, beta):
         h = ops.conv2d(x, w, None, stride=2, padding=1)
-        h = ops.batch_norm(h, gamma, beta, stats, training=True, update_stats=False)
-        h = ops.tanh(h)
-        return ops.mean_sq(h)
+        h = ops.batch_norm_leaky(h, gamma, beta, stats, training=True, update_stats=False)
+        return ops.mean_sq(ops.tanh(h))
 
     return f, [x, w, gamma, beta]
 
@@ -278,9 +286,8 @@ OP_CASES: Dict[str, Callable] = {
     "conv2d": _case_conv2d,
     "conv2d_s1": _case_conv2d_s1,
     "conv_transpose2d": _case_conv_transpose2d,
-    "batch_norm_train": _case_batch_norm,
-    "batch_norm_eval": _case_batch_norm_eval,
-    "leaky_relu": _case_leaky_relu,
+    "batch_norm_leaky_train": _case_batch_norm_leaky_train,
+    "batch_norm_leaky_eval": _case_batch_norm_leaky_eval,
     "tanh": _case_tanh,
     "add": _case_add,
     "sub": _case_sub,

@@ -15,9 +15,17 @@ nothing.
 A closure keeps only its operands, views of their data and per-channel
 vectors; what a parent can rebuild exactly is recomputed in backward instead
 of held for the life of the graph. ``conv2d`` rebuilds its im2col matrix from
-``x``, and only when the weight is tracked; ``batch_norm`` rebuilds x̂ from
-``x`` and the per-channel mean and inverse deviation it captured. The rebuilt
-arrays are byte-equal to the forward's, so gradients are unchanged.
+``x``, and only when the weight is tracked. ``batch_norm_leaky`` is batch norm
+and its leaky ReLU in one node (the networks never use one without the other):
+its closure keeps ``x``, ``gamma``, ``beta`` and the per-channel mean and
+inverse deviation, and backward rebuilds x̂ and the pre-activation
+``x̂ * gamma + beta`` in the forward's order, taking the leaky slope from the
+pre-activation's sign (never from the output, which is -0.0 for a tiny negative
+pre-activation). The rebuilt arrays are byte-equal to the forward's, so
+gradients are unchanged.
+
+``_col2im`` returns a C-contiguous, unpadded array, so every
+``conv_transpose2d`` output and every ``conv2d`` input gradient is one too.
 """
 from __future__ import annotations
 
@@ -31,9 +39,8 @@ from .tensor import DTYPE, SCALAR_SHAPE, GraphError, ShapeError, Tensor4, backwa
 __all__ = [
     "conv2d",
     "conv_transpose2d",
-    "batch_norm",
+    "batch_norm_leaky",
     "RunningStats",
-    "leaky_relu",
     "tanh",
     "add",
     "sub",
@@ -112,15 +119,34 @@ def _col2im(
     oh: int,
     ow: int,
 ) -> np.ndarray:
-    """Scatter-add inverse of :func:`_im2col`; returns (N, C, H, W)."""
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    """Scatter-add inverse of :func:`_im2col`; returns a C-contiguous (N, C, H, W).
+
+    Each phase of the padded image (row mod stride, column mod stride) sums in
+    its own zeroed plane, where every tap adds one contiguous block. Taps are
+    added in (i, j) order starting from +0.0, so each pixel sees the same adds
+    as a scatter into the padded image, and the bytes are the same.
+    """
+    s = stride
+    hp, wp = h + 2 * padding, w + 2 * padding
+    planes = {
+        (pi, pj): np.zeros((n, c, -(-(hp - pi) // s), -(-(wp - pj) // s)), dtype=cols.dtype)
+        for pi in range(s)
+        for pj in range(s)
+    }
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[:, :, i, j]
-    if padding:
-        return xp[:, :, padding:-padding, padding:-padding]
-    return xp
+            ti, tj = i // s, j // s
+            planes[i % s, j % s][:, :, ti : ti + oh, tj : tj + ow] += cols6[:, :, i, j]
+    if s == 1 and not padding:
+        return planes[0, 0]
+    out = np.empty((n, c, h, w), dtype=cols.dtype)
+    for (pi, pj), plane in planes.items():
+        r0, c0 = (pi - padding) % s, (pj - padding) % s  # first output row/column of the phase
+        dst = out[:, :, r0::s, c0::s]
+        t0, u0 = (r0 + padding) // s, (c0 + padding) // s
+        dst[...] = plane[:, :, t0 : t0 + dst.shape[2], u0 : u0 + dst.shape[3]]
+    return out
 
 
 def _check_conv_args(stride: int, padding: int) -> None:
@@ -226,7 +252,7 @@ def conv_transpose2d(y: Tensor4, weight: Tensor4, stride: int = 1, padding: int 
 
 
 # ---------------------------------------------------------------------------
-# batch normalization
+# batch normalization with its leaky ReLU
 
 
 @dataclass
@@ -246,7 +272,7 @@ class RunningStats:
         return cls(mean=np.zeros(channels, dtype=DTYPE), var=np.ones(channels, dtype=DTYPE))
 
 
-def batch_norm(
+def batch_norm_leaky(
     x: Tensor4,
     gamma: Tensor4,
     beta: Tensor4,
@@ -254,22 +280,24 @@ def batch_norm(
     training: bool,
     update_stats: Optional[bool] = None,
 ) -> Tensor4:
-    """Per-channel normalization over the (batch, height, width) axes.
+    """Per-channel normalization over the (batch, height, width) axes, then leaky ReLU.
 
     Train mode normalizes with biased batch moments; eval mode uses the stored
     running stats. ``update_stats`` defaults to ``training`` and lets callers
     score activations with batch statistics without polluting the running
     buffers (discriminator scoring inside the generator update does this).
+    The activation is ``max(b, LEAKY_SLOPE * b)`` of the affine output b.
     """
     n, c, h, w = x.shape
     for name, t in (("gamma", gamma), ("beta", beta)):
         if t.shape != (1, c, 1, 1):
             raise ShapeError(
-                f"batch_norm: {name} shape {t.shape} must be (1, {c}, 1, 1) for input {x.shape}"
+                f"batch_norm_leaky: {name} shape {t.shape} must be (1, {c}, 1, 1) "
+                f"for input {x.shape}"
             )
     if stats.mean.shape != (c,) or stats.var.shape != (c,):
         raise ShapeError(
-            f"batch_norm: running stats carry {stats.mean.shape[0]} channels, input has {c}"
+            f"batch_norm_leaky: running stats carry {stats.mean.shape[0]} channels, input has {c}"
         )
     if update_stats is None:
         update_stats = training
@@ -278,7 +306,7 @@ def batch_norm(
     if training:
         if m < 2:
             raise ShapeError(
-                f"batch_norm: train mode needs more than one value per channel "
+                f"batch_norm_leaky: train mode needs more than one value per channel "
                 f"(batch*H*W = {m} for input {x.shape}); variance is undefined"
             )
         mean64 = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
@@ -302,11 +330,24 @@ def batch_norm(
     out *= inv
     out *= gamma.data
     out += beta.data
+    # max(b, slope*b) picks b for b >= 0 and slope*b below: as 0 < LEAKY_SLOPE < 1
+    # it equals the masked select bit for bit (+-0, +-inf and NaN included)
+    np.maximum(out, LEAKY_SLOPE * out, out=out)
 
     def grad_fn(g: np.ndarray):
+        xhat = (x.data - mean) * inv  # rebuilt: bytes equal to the forward's
+        # the pre-activation, rebuilt in the forward's order; its sign, not the
+        # output's, picks the slope (max(b, slope*b) is -0.0 for a tiny negative b)
+        b = xhat * gamma.data
+        b += beta.data
+        # factor is exactly 1.0 where b >= 0 and float32(slope) elsewhere
+        factor = (b >= 0).astype(DTYPE)
+        del b
+        np.maximum(factor, np.float32(LEAKY_SLOPE), out=factor)
+        factor *= g
+        g = factor  # gradient at the batch-norm output
+
         grad_x = dgamma = dbeta = None
-        if _live(gamma) or (training and _live(x)):
-            xhat = (x.data - mean) * inv  # rebuilt: bytes equal to the forward's
         if _live(gamma):
             dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64)
             dgamma = dgamma.astype(DTYPE).reshape(1, c, 1, 1)
@@ -332,21 +373,6 @@ def batch_norm(
 
 # ---------------------------------------------------------------------------
 # pointwise
-
-
-def leaky_relu(x: Tensor4) -> Tensor4:
-    # max(x, slope*x) picks x for x >= 0 and slope*x below: as 0 < LEAKY_SLOPE < 1
-    # it equals the masked select bit for bit (+-0, +-inf and NaN included)
-    out = np.maximum(x.data, LEAKY_SLOPE * x.data)
-
-    def grad_fn(g: np.ndarray):
-        # factor is exactly 1.0 where x >= 0 and float32(slope) elsewhere
-        factor = (x.data >= 0).astype(DTYPE)
-        np.maximum(factor, np.float32(LEAKY_SLOPE), out=factor)
-        factor *= g
-        return (factor,)
-
-    return _make(out.astype(DTYPE, copy=False), (x,), grad_fn)
 
 
 def tanh(x: Tensor4) -> Tensor4:

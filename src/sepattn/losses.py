@@ -149,6 +149,7 @@ def full_generator_loss(
     recon_x = gen_yx.forward(fake_y, training=True)
     recon_y = gen_xy.forward(fake_x, training=True)
 
+    masks = attnmask.region_masks(depth, x.shape)
     regions = {}
     for name, img in (
         ("x", x),
@@ -158,7 +159,7 @@ def full_generator_loss(
         ("recon_x", recon_x),
         ("recon_y", recon_y),
     ):
-        regions[name] = attnmask.split(img, depth)
+        regions[name] = attnmask.split(img, masks)
 
     parts: Dict[str, Tensor4] = {}
     region_values = {"gan_g_xy": [], "gan_g_yx": [], "cycle": []}  # [fg, bg] each
@@ -220,9 +221,9 @@ def separated_discriminator_losses(
         if fake.requires_grad or not fake.is_leaf:
             raise ValueError(f"{name} must be detached before the discriminator phase")
 
-    split = lambda img: attnmask.split(img, depth)
-    rx, ry = split(x), split(y)
-    rfx, rfy = split(fake_x), split(fake_y)
+    masks = attnmask.region_masks(depth, x.shape)
+    rx, ry = attnmask.split(x, masks), attnmask.split(y, masks)
+    rfx, rfy = attnmask.split(fake_x, masks), attnmask.split(fake_y, masks)
 
     def disc_loss(disc, real, fake):
         return gan_discriminator_loss(

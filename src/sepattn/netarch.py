@@ -30,11 +30,10 @@ from .diffcore import (
     RunningStats,
     ShapeError,
     Tensor4,
-    batch_norm,
+    batch_norm_leaky,
     concat_channels,
     conv2d,
     conv_transpose2d,
-    leaky_relu,
     tanh,
 )
 
@@ -141,7 +140,7 @@ class Model:
     def _bn_leaky(
         self, x: Tensor4, stage: str, training: bool, update_stats: Optional[bool]
     ) -> Tensor4:
-        x = batch_norm(
+        return batch_norm_leaky(
             x,
             self.params[f"{stage}/bn/gamma"].tensor,
             self.params[f"{stage}/bn/beta"].tensor,
@@ -149,7 +148,6 @@ class Model:
             training=training,
             update_stats=update_stats,
         )
-        return leaky_relu(x)
 
     def _check_input(self, x: Tensor4, channels: int, what: str) -> None:
         n, c, h, w = x.shape

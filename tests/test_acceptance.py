@@ -138,14 +138,14 @@ def test_3_mask_partition_identity_on_100_pairs_plus_edge_depths():
     for _ in range(100):
         img = Tensor4(rng.uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32))
         depth = rng.uniform(0, 1, (16, 16)).astype(np.float32)
-        fg, bg = attnmask.split(img, depth)
+        fg, bg = attnmask.split(img, attnmask.region_masks(depth, img.shape))
         worst = max(worst, float(np.abs(fg.data + bg.data - img.data).max()))
     assert worst < 1e-6, f"partition residual {worst:.2e}"
 
     img = Tensor4(rng.uniform(-1, 1, (1, 3, 8, 8)).astype(np.float32))
     for const in (0.0, 1.0, 0.5):
         depth = np.full((8, 8), const, np.float32)
-        fg, bg = attnmask.split(img, depth)
+        fg, bg = attnmask.split(img, attnmask.region_masks(depth, img.shape))
         assert np.array_equal(fg.data, img.data * np.float32(const))
         assert np.array_equal(fg.data + bg.data, img.data)
     print(f"100 random pairs max residual {worst:.2e}; depth 0/1/0.5 exact")

@@ -69,6 +69,18 @@ def ref_im2col(xp, kh, kw, stride, oh, ow):
     return cols.reshape(n, c * kh * kw, oh * ow)
 
 
+def ref_col2im(cols, n, c, h, w, kh, kw, stride, padding, oh, ow):
+    """Scatter-add of the patch matrix into a zeroed padded image, one kernel tap at a time."""
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols6 = cols.reshape(n, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[:, :, i, j]
+    if padding:
+        return xp[:, :, padding:-padding, padding:-padding]
+    return xp
+
+
 def t4(arr, requires_grad=False):
     return dc.Tensor4(np.asarray(arr, dtype=np.float32), requires_grad)
 
@@ -196,33 +208,41 @@ class TestConvTranspose2d:
 # batch norm
 
 
-class TestBatchNorm:
+class TestBatchNormLeaky:
     def _gb(self, c, gamma=1.0, beta=0.0):
         g = t4(np.full((1, c, 1, 1), gamma, np.float32))
         b = t4(np.full((1, c, 1, 1), beta, np.float32))
         return g, b
 
     def test_two_value_channel_normalizes_to_unit(self):
-        # channel values [1, 3]: mean 2, biased var 1 -> [-1, 1] (up to eps)
+        # channel values [1, 3]: mean 2, biased var 1 -> [-1, 1] (up to eps), then leaky
         x = t4(np.array([1.0, 3.0], np.float32).reshape(1, 1, 1, 2))
         g, b = self._gb(1)
         stats = ops.RunningStats.create(1)
-        out = ops.batch_norm(x, g, b, stats, training=True).data.reshape(-1)
-        np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-4)
+        out = ops.batch_norm_leaky(x, g, b, stats, training=True).data.reshape(-1)
+        np.testing.assert_allclose(out, [-0.2, 1.0], atol=1e-4)
 
     def test_affine_applies_after_normalize(self):
+        # [-1, 1] -> 2 * [-1, 1] + 0.5 = [-1.5, 2.5] -> leaky [-0.3, 2.5]
         x = t4(np.array([1.0, 3.0], np.float32).reshape(1, 1, 1, 2))
         g, b = self._gb(1, gamma=2.0, beta=0.5)
         stats = ops.RunningStats.create(1)
-        out = ops.batch_norm(x, g, b, stats, training=True).data.reshape(-1)
-        np.testing.assert_allclose(out, [-1.5, 2.5], atol=2e-4)
+        out = ops.batch_norm_leaky(x, g, b, stats, training=True).data.reshape(-1)
+        np.testing.assert_allclose(out, [-0.3, 2.5], atol=2e-4)
+
+    def test_leaky_slope_scales_negative_pre_activations(self):
+        # eval with mean 0, var 1: the pre-activation is x (up to eps)
+        g, b = self._gb(1)
+        stats = ops.RunningStats(mean=np.zeros(1, np.float32), var=np.ones(1, np.float32))
+        out = ops.batch_norm_leaky(row([-1.0, 0.0, 2.0]), g, b, stats, training=False)
+        np.testing.assert_allclose(out.data.reshape(-1), [-0.2, 0.0, 2.0], rtol=1e-5)
 
     def test_running_stats_update_rule(self):
         rng = np.random.default_rng(2)
         x = t4(rng.standard_normal((4, 2, 3, 3)) * 2 + 1)
         g, b = self._gb(2)
         stats = ops.RunningStats.create(2)
-        ops.batch_norm(x, g, b, stats, training=True)
+        ops.batch_norm_leaky(x, g, b, stats, training=True)
         m = x.data.mean(axis=(0, 2, 3), dtype=np.float64)
         v = x.data.var(axis=(0, 2, 3), dtype=np.float64, ddof=1)
         np.testing.assert_allclose(stats.mean, 0.9 * 0.0 + 0.1 * m, rtol=1e-5)
@@ -234,7 +254,7 @@ class TestBatchNorm:
             mean=np.array([2.0], np.float32), var=np.array([4.0], np.float32)
         )
         x = t4(np.array([4.0, 100.0], np.float32).reshape(1, 1, 1, 2))
-        out = ops.batch_norm(x, g, b, stats, training=False).data.reshape(-1)
+        out = ops.batch_norm_leaky(x, g, b, stats, training=False).data.reshape(-1)
         np.testing.assert_allclose(out, [(4 - 2) / 2.0, (100 - 2) / 2.0], rtol=1e-4)
         # and the buffers were not touched
         assert stats.mean[0] == 2.0 and stats.var[0] == 4.0
@@ -243,20 +263,42 @@ class TestBatchNorm:
         x = t4(np.random.default_rng(0).standard_normal((2, 1, 3, 3)))
         g, b = self._gb(1)
         stats = ops.RunningStats.create(1)
-        ops.batch_norm(x, g, b, stats, training=True, update_stats=False)
+        ops.batch_norm_leaky(x, g, b, stats, training=True, update_stats=False)
         assert stats.mean[0] == 0.0 and stats.var[0] == 1.0
 
     def test_single_value_variance_rejected(self):
         x = t4(np.ones((1, 1, 1, 1)))
         g, b = self._gb(1)
         with pytest.raises(dc.ShapeError, match="variance is undefined"):
-            ops.batch_norm(x, g, b, ops.RunningStats.create(1), training=True)
+            ops.batch_norm_leaky(x, g, b, ops.RunningStats.create(1), training=True)
 
     def test_channel_count_mismatch_rejected(self):
         x = t4(np.ones((1, 3, 2, 2)))
         g, b = self._gb(3)
         with pytest.raises(dc.ShapeError, match="channels"):
-            ops.batch_norm(x, g, b, ops.RunningStats.create(2), training=True)
+            ops.batch_norm_leaky(x, g, b, ops.RunningStats.create(2), training=True)
+
+    def test_affine_shape_mismatch_rejected(self):
+        x = t4(np.ones((1, 3, 2, 2)))
+        g, _ = self._gb(3)
+        _, b = self._gb(2)
+        with pytest.raises(dc.ShapeError, match=r"beta shape \(1, 2, 1, 1\)"):
+            ops.batch_norm_leaky(x, g, b, ops.RunningStats.create(3), training=True)
+
+    def test_negative_subnormal_pre_activation_gets_the_slope(self):
+        # gamma 0 makes every pre-activation exactly beta = -1e-45 (a subnormal);
+        # the output max(b, 0.2 * b) is -0.0, yet the gradient factor must be 0.2
+        x = t4(np.array([1.0, -1.0], np.float32).reshape(1, 1, 1, 2))
+        gamma = t4(np.zeros((1, 1, 1, 1)), requires_grad=True)
+        beta = t4(np.full((1, 1, 1, 1), -1e-45), requires_grad=True)
+        stats = ops.RunningStats(mean=np.zeros(1, np.float32), var=np.ones(1, np.float32))
+        out = ops.batch_norm_leaky(x, gamma, beta, stats, training=False)
+        assert beta.data[0, 0, 0, 0] < 0 and not out.data.any() and np.signbit(out.data).all()
+        g = np.ones(out.shape, np.float32)
+        _, _, dbeta = out._grad_fn(g)
+        pre = np.full(out.shape, beta.data[0, 0, 0, 0], np.float32)
+        assert dbeta.tobytes() == channel_sum(ref_leaky_relu_grad(pre, g)).tobytes()
+        assert dbeta[0, 0, 0, 0] == np.float32(2 * np.float64(np.float32(ops.LEAKY_SLOPE)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,11 +306,6 @@ class TestBatchNorm:
 
 
 class TestPointwise:
-    def test_leaky_relu_values(self):
-        x = row([-1.0, 0.0, 2.0])
-        out = ops.leaky_relu(x).data.reshape(-1)
-        np.testing.assert_allclose(out, [-0.2, 0.0, 2.0], rtol=1e-6)
-
     def test_tanh_values(self):
         out = ops.tanh(row([0.0, 1e4])).data.reshape(-1)
         assert out[0] == 0.0
@@ -354,15 +391,23 @@ def conv2d_with_np_pad(x, w, b, stride, padding):
 
 
 class TestBitExactFastPaths:
-    def test_leaky_relu_matches_masked_select_bytewise(self):
+    def test_batch_norm_leaky_matches_masked_select_bytewise(self):
+        # eval mode keeps every element its own: +-0, NaN, +-inf and subnormals
+        # in x reach the pre-activation one for one
         rng = np.random.default_rng(11)
         x = awkward(rng, (3, 4, 9, 7))
         g = awkward(rng, x.shape)
-        out = ops.leaky_relu(t4(x, requires_grad=True))
-        assert out.data.tobytes() == ref_leaky_relu(x).tobytes()
-        (grad,) = out._grad_fn(g)
-        assert grad.dtype == np.float32
-        assert grad.tobytes() == ref_leaky_relu_grad(x, g).tobytes()
+        gamma = rng.uniform(0.5, 1.5, (1, 4, 1, 1)).astype(np.float32)
+        beta = np.zeros((1, 4, 1, 1), np.float32)
+        stats = ops.RunningStats(mean=np.zeros(4, np.float32), var=np.ones(4, np.float32))
+        ref_stats = ops.RunningStats(stats.mean.copy(), stats.var.copy())
+        out = ops.batch_norm_leaky(t4(x, True), t4(gamma), t4(beta), stats, training=False)
+        pre, bn_grads = batch_norm_keep_all(x, gamma, beta, ref_stats, False, False)
+        assert out.data.tobytes() == ref_leaky_relu(pre).tobytes()
+        grad_x, _, _ = out._grad_fn(g)
+        with np.errstate(invalid="ignore"):  # the reference also sums dgamma over the NaNs
+            want_x = bn_grads(ref_leaky_relu_grad(pre, g))[0]
+        assert grad_x.dtype == np.float32 and grad_x.tobytes() == want_x.tobytes()
 
     @pytest.mark.parametrize("padding", [1, 2])
     def test_pad_matches_np_pad_bytewise(self, padding):
@@ -409,6 +454,29 @@ class TestBitExactFastPaths:
             want = ref_im2col(xp, k, k, stride, oh, ow)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize(
+        "c,h,w,k,stride,padding",
+        [
+            (4, 16, 16, 4, 2, 1),  # generator stages
+            (6, 16, 16, 3, 2, 1),  # discriminator stages
+            (8, 4, 4, 1, 1, 0),  # discriminator head
+            (3, 11, 13, 3, 2, 1),  # odd sizes
+        ],
+    )
+    def test_col2im_matches_tap_loop_bytewise_and_is_contiguous(
+        self, batch, c, h, w, k, stride, padding
+    ):
+        oh = (h + 2 * padding - k) // stride + 1
+        ow = (w + 2 * padding - k) // stride + 1
+        cols = awkward(np.random.default_rng(20), (batch, c * k * k, oh * ow))
+        cols[cols == 0] = -0.0  # every pixel's sum starts from +0.0, as in the tap loop
+        args = (batch, c, h, w, k, k, stride, padding, oh, ow)
+        got = ops._col2im(cols, *args)
+        want = ref_col2im(cols, *args)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("frozen", ["weight", "bias", "both"])
     def test_conv2d_skips_gradients_of_untracked_operands(self, frozen):
         rng = np.random.default_rng(14)
@@ -429,7 +497,7 @@ class TestBitExactFastPaths:
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("frozen", ["gamma", "beta", "both"])
-    def test_batch_norm_skips_gradients_of_untracked_operands(self, frozen, training):
+    def test_batch_norm_leaky_skips_gradients_of_untracked_operands(self, frozen, training):
         rng = np.random.default_rng(15)
         x = rng.standard_normal((2, 3, 4, 4))
         gamma = rng.uniform(0.5, 1.5, (1, 3, 1, 1))
@@ -437,7 +505,7 @@ class TestBitExactFastPaths:
         g = rng.standard_normal(x.shape).astype(np.float32)
 
         def grads(gamma_tracked, beta_tracked):
-            out = ops.batch_norm(
+            out = ops.batch_norm_leaky(
                 t4(x, True), t4(gamma, gamma_tracked), t4(beta, beta_tracked),
                 dc.RunningStats.create(3), training, update_stats=False,
             )
@@ -469,14 +537,19 @@ def conv2d_keep_all(x, w, b, stride, padding, g):
     if b is not None:
         out = out + b
     g_mat = g.reshape(n, cout, oh * ow)
-    grad_x = ops._col2im(np.matmul(w_mat.T, g_mat), n, cin, h, wd, kh, kw, stride, padding, oh, ow)
+    grad_x = ref_col2im(np.matmul(w_mat.T, g_mat), n, cin, h, wd, kh, kw, stride, padding, oh, ow)
     grad_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
     grad_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1).astype(np.float32)
     return out, (grad_x, grad_w, grad_b)
 
 
-def batch_norm_keep_all(x, gamma, beta, stats, training, update_stats, g):
-    """batch_norm forward and (grad_x, dgamma, dbeta) from x̂ held since the forward."""
+def channel_sum(a):
+    """Per-channel float64 sum of an (N, C, H, W) array, stored float32 as (1, C, 1, 1)."""
+    return a.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32).reshape(1, -1, 1, 1)
+
+
+def batch_norm_keep_all(x, gamma, beta, stats, training, update_stats):
+    """batch_norm forward, and a function of g giving (grad_x, dgamma, dbeta) from x̂ held since the forward."""
     n, c, h, w = x.shape
     m = n * h * w
     mom, f32 = ops.BN_MOMENTUM, np.float32
@@ -495,15 +568,15 @@ def batch_norm_keep_all(x, gamma, beta, stats, training, update_stats, g):
     xhat = (x - mean) * inv
     out = gamma * xhat + beta
 
-    def channel_sum(a):
-        return a.sum(axis=(0, 2, 3), dtype=np.float64).astype(np.float32).reshape(1, c, 1, 1)
+    def grads(g):
+        dxhat = g * gamma
+        if training:
+            grad_x = (inv / m) * (m * dxhat - channel_sum(dxhat) - xhat * channel_sum(dxhat * xhat))
+        else:
+            grad_x = dxhat * inv
+        return grad_x, channel_sum(g * xhat), channel_sum(g)
 
-    dxhat = g * gamma
-    if training:
-        grad_x = (inv / m) * (m * dxhat - channel_sum(dxhat) - xhat * channel_sum(dxhat * xhat))
-    else:
-        grad_x = dxhat * inv
-    return out, (grad_x, channel_sum(g * xhat), channel_sum(g))
+    return out, grads
 
 
 def assert_grads_match(got, want, tracked):
@@ -538,7 +611,10 @@ class TestLeanBackward:
         ids=["train", "train-no-update", "eval"],
     )
     @pytest.mark.parametrize("affine_tracked", [(True, True), (True, False), (False, True), (False, False)])
-    def test_batch_norm_matches_held_xhat(self, training, update_stats, affine_tracked):
+    @pytest.mark.parametrize("x_live", [True, False])
+    def test_batch_norm_leaky_matches_composed_references(
+        self, training, update_stats, affine_tracked, x_live
+    ):
         rng = np.random.default_rng(18)
         x = (rng.standard_normal((3, 4, 5, 6)) * 2 + 0.5).astype(np.float32)
         gamma = rng.uniform(0.5, 1.5, (1, 4, 1, 1)).astype(np.float32)
@@ -549,17 +625,22 @@ class TestLeanBackward:
             var=rng.uniform(0.5, 2.0, 4).astype(np.float32),
         )
         ref_stats = ops.RunningStats(lean_stats.mean.copy(), lean_stats.var.copy())
-        out = ops.batch_norm(
-            t4(x, True), t4(gamma, affine_tracked[0]), t4(beta, affine_tracked[1]),
+        out = ops.batch_norm_leaky(
+            t4(x, x_live), t4(gamma, affine_tracked[0]), t4(beta, affine_tracked[1]),
             lean_stats, training, update_stats,
         )
-        want_out, want = batch_norm_keep_all(x, gamma, beta, ref_stats, training, update_stats, g)
-        assert out.data.tobytes() == want_out.tobytes()
+        pre, bn_grads = batch_norm_keep_all(x, gamma, beta, ref_stats, training, update_stats)
+        assert out.data.tobytes() == ref_leaky_relu(pre).tobytes()
         assert lean_stats.mean.tobytes() == ref_stats.mean.tobytes()
         assert lean_stats.var.tobytes() == ref_stats.var.tobytes()
+        tracked = (x_live,) + affine_tracked
+        if not any(tracked):
+            assert out._grad_fn is None
+            return
         # a later update of the running buffers must not reach the rebuilt x̂
-        ops.batch_norm(t4(x * 3), t4(gamma), t4(beta), lean_stats, training=True)
-        assert_grads_match(out._grad_fn(g), want, (True,) + affine_tracked)
+        ops.batch_norm_leaky(t4(x * 3), t4(gamma), t4(beta), lean_stats, training=True)
+        want = bn_grads(ref_leaky_relu_grad(pre, g))
+        assert_grads_match(out._grad_fn(g), want, tracked)
 
     def test_closures_hold_no_rebuildable_buffers(self):
         models = trainer.build_models(trainer.desk_config())
@@ -721,8 +802,9 @@ class TestGradCheck:
         for op in (
             "conv2d",
             "conv_transpose2d",
-            "batch_norm_train",
-            "leaky_relu",
+            "batch_norm_leaky_train",
+            "batch_norm_leaky_eval",
+            "composite_chain",
             "tanh",
             "add",
             "sub",

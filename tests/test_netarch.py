@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from sepattn import netarch
-from sepattn.diffcore import ShapeError, Tensor4
+from sepattn import losses, netarch, trainer
+from sepattn.diffcore import ShapeError, Tensor4, ops
+from sepattn.diffcore.tensor import topo_order
 
 DESK_GEN = netarch.GeneratorConfig(depth=3, base_channels=16)
 DESK_DISC = netarch.DiscriminatorConfig(num_layers=3, base_channels=16)
@@ -178,3 +179,28 @@ class TestModelPlumbing:
         ids = list(gen.params)
         assert len(ids) == len(set(ids))
         assert ids[0] == "e1/conv/weight"
+
+
+class TestTrainingGraph:
+    def test_generator_phase_has_one_node_per_norm_stage_and_two_masks(self):
+        cfg = trainer.desk_config()
+        models = trainer.build_models(cfg)
+        rng = np.random.default_rng(21)
+        x, y = (Tensor4(rng.uniform(-1, 1, (2, 3, 64, 64)).astype(np.float32)) for _ in range(2))
+        depth = rng.uniform(0, 1, (64, 64)).astype(np.float32)
+        total, _ = losses.full_generator_loss(x, y, depth, models)
+        nodes = topo_order(total)
+
+        def made_by(op):
+            return [t for t in nodes if t._grad_fn is not None and t._grad_fn.__qualname__.startswith(op + ".")]
+
+        # 4 generator forwards of 3 encoder + 2 decoder stages, 4 discriminator
+        # forwards of 3 stages: each stage is a single batch_norm_leaky node
+        gen_stages = 2 * cfg.generator.depth - 1
+        norm_nodes = made_by(ops.batch_norm_leaky.__name__)
+        assert len(norm_nodes) == 4 * gen_stages + 4 * cfg.discriminator.num_layers == 32
+        # every mul in the graph is a region split of a generated image (those of
+        # the untracked x and y are constants); all eight share one (fg, bg) pair
+        splits = made_by(ops.mul.__name__)
+        assert len(splits) == 8
+        assert len({id(t._parents[1]) for t in splits}) == 2

@@ -33,7 +33,7 @@ from .trainer import (
     CheckpointError,
     TrainConfig,
     desk_config,
-    enhance_record,
+    enhance_records,
     evaluate,
     load_generator,
     train,
@@ -167,13 +167,13 @@ def _iter_input_images(path: Path) -> List[Path]:
 def cmd_enhance(args) -> int:
     try:
         if args.checkpoint == "identity":
-            enhance = lambda rec: rec
+            enhance = lambda recs: recs
         else:
             ckpt_path = Path(args.checkpoint)
             if not ckpt_path.is_file():
                 raise ValueError(f"checkpoint not found: {ckpt_path}")
             gen = load_generator(ckpt_path)
-            enhance = lambda rec: enhance_record(gen, rec)
+            enhance = lambda recs: enhance_records(gen, recs)
         in_path = Path(getattr(args, "in"))
         inputs = _iter_input_images(in_path)
         out = Path(args.out)
@@ -184,8 +184,10 @@ def cmd_enhance(args) -> int:
             if out.parent != Path(""):
                 out.parent.mkdir(parents=True, exist_ok=True)
             targets = [out]
-        for src, dst in zip(inputs, targets):
-            save_image(enhance(load_image(src)), dst)
+        # each record is named by its path, so a shape error names the file
+        records = (dataclasses.replace(load_image(src), id=str(src)) for src in inputs)
+        for rec, dst in zip(enhance(records), targets):
+            save_image(rec, dst)
     except (OSError, ValueError, CheckpointError) as exc:
         return _fail_runtime(str(exc))
     print(f"enhanced {len(inputs)} image(s) -> {args.out}")

@@ -209,10 +209,14 @@ def load_depth(path) -> np.ndarray:
 # model-space mapping
 
 
-def to_model_space(record: ImageRecord) -> Tensor4:
-    """8-bit pixels -> float32 tensor in [-1, 1], shape (1, C, H, W)."""
-    arr = record.pixels.astype(np.float32) / np.float32(127.5) - np.float32(1.0)
-    return Tensor4(arr[None])
+def to_model_space(*records: ImageRecord) -> Tensor4:
+    """8-bit pixels -> float32 tensor in [-1, 1], shape (N, C, H, W), one image per record.
+
+    The mapping is elementwise, so each image's values do not depend on the
+    others stacked with it.
+    """
+    pixels = np.stack([r.pixels for r in records])
+    return Tensor4(pixels.astype(np.float32) / np.float32(127.5) - np.float32(1.0))
 
 
 def from_model_space(t: Tensor4, id: str = "") -> ImageRecord:

@@ -109,18 +109,17 @@ def grad_check(
     for t, a in zip(args, analytic):
         data = t.data
         num = np.zeros(data.shape, dtype=np.float64)
-        flat = data.reshape(-1)
-        nflat = num.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
+        # index the array itself: a reshape of non-contiguous data is a copy
+        for j in np.ndindex(data.shape):
+            orig = data[j]
             hi_x = np.float32(float(orig) + epsilon)
             lo_x = np.float32(float(orig) - epsilon)
-            flat[j] = hi_x
+            data[j] = hi_x
             hi = objective()
-            flat[j] = lo_x
+            data[j] = lo_x
             lo = objective()
-            flat[j] = orig
-            nflat[j] = (hi - lo) / (float(hi_x) - float(lo_x))
+            data[j] = orig
+            num[j] = (hi - lo) / (float(hi_x) - float(lo_x))
         a = a.astype(np.float64)
         scale = max(float(np.abs(a).max()), float(np.abs(num).max()), _DENOM_FLOOR)
         worst = max(worst, float(np.abs(a - num).max()) / scale)

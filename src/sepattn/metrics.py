@@ -13,11 +13,15 @@ Block terms that would divide by zero or take log of zero contribute zero.
 UIQM takes shortcuts that are exact only because inputs are 8-bit: Sobel
 runs in int16 (integers within +-1020), and the trimmed mean sums partitioned
 rather than sorted chroma values (exact multiples of 0.5, so no partial sum
-rounds). Each step yields the same float64 bytes as the plain float64 form.
+rounds). The Sobel magnitude is the correctly rounded sqrt(gx² + gy²) (the sum
+of squares is an exact integer) plus a per-pair correction to np.hypot's
+rounding, read from a table built once from np.hypot itself. Each step yields
+the same float64 bytes as the plain float64 form with np.hypot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +56,7 @@ _UICM_MU_COEF = -0.0268
 _UICM_SIGMA_COEF = 0.1586
 _TRIM_ALPHA = 0.1
 _BLOCK = 8
+_SOBEL_MAX = 4 * 255  # largest |gx| or |gy| of a Sobel pass over 8-bit values
 
 _LUMA = (0.299, 0.587, 0.114)
 
@@ -193,22 +198,55 @@ def _block_extremes(planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return b.max(axis=-1), b.min(axis=-1)
 
 
+@cache
+def _hypot_ulp_fix() -> np.ndarray:
+    """np.hypot(a, b) minus sqrt(a² + b²) in ulps, for 0 <= a, b <= 1020, flat int8.
+
+    Entry a * 1021 + b. Both values are positive floats, so the difference of
+    their bit patterns counts the ulps between them, across binade edges too.
+    Built in blocks of 32 rows to keep the float64 temporaries small.
+    """
+    n = _SOBEL_MAX + 1
+    fix = np.empty((n, n), dtype=np.int8)
+    b = np.arange(n, dtype=np.float64)
+    for r0 in range(0, n, 32):
+        a = np.arange(r0, min(r0 + 32, n), dtype=np.float64)[:, None]
+        diff = np.hypot(a, b).view(np.int64) - np.sqrt(a * a + b * b).view(np.int64)
+        if np.abs(diff).max() > np.iinfo(np.int8).max:
+            raise ArithmeticError("np.hypot is more than 127 ulps from sqrt(a² + b²)")
+        fix[r0 : r0 + len(a)] = diff
+    return fix.reshape(-1)
+
+
+def _sobel_magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """np.hypot(gx, gy) in float64 for integer arrays within +-1020, without calling it.
+
+    gx² + gy² is an exact integer, so np.sqrt of it is correctly rounded; the
+    table moves it by the ulps np.hypot differs (hypot takes |gx| and |gy|).
+    """
+    ax = np.abs(gx).astype(np.intp)
+    ay = np.abs(gy).astype(np.intp)
+    mag = np.sqrt(ax * ax + ay * ay)
+    mag.view(np.int64)[...] += _hypot_ulp_fix().take(ax * (_SOBEL_MAX + 1) + ay)
+    return mag
+
+
 def uism(image: np.ndarray) -> float:
     """Sharpness: per-channel Sobel edge maps scored by block contrast.
 
     Sobel runs separably (smooth, then difference) on edge-replicated borders,
-    concatenated as np.pad costs 4-5x more. The magnitude stays np.hypot: it
-    rounds some integer pairs otherwise than sqrt(gx*gx + gy*gy). EME per
-    channel is 2/(k1 k2) * sum log(max/min) over blocks, zero blocks giving 0.
+    concatenated as np.pad costs 4-5x more. The magnitude has np.hypot's bytes
+    (see ``_sobel_magnitude``). EME per channel is 2/(k1 k2) * sum log(max/min)
+    over blocks, zero blocks giving 0.
     """
     img = _require_color(image, "image")
     p = np.concatenate([img[:, :1], img, img[:, -1:]], axis=1)
     p = np.concatenate([p[:, :, :1], p, p[:, :, -1:]], axis=2).astype(np.int16)
     down = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
     across = p[:, :, :-2] + 2 * p[:, :, 1:-1] + p[:, :, 2:]
-    gx = (down[:, :, 2:] - down[:, :, :-2]).astype(np.float64)
-    gy = (across[:, 2:] - across[:, :-2]).astype(np.float64)
-    bmax, bmin = _block_extremes(np.hypot(gx, gy) * img)
+    gx = down[:, :, 2:] - down[:, :, :-2]
+    gy = across[:, 2:] - across[:, :-2]
+    bmax, bmin = _block_extremes(_sobel_magnitude(gx, gy) * img)
     total = 0.0
     for weight, hi, lo in zip(_LUMA, bmax, bmin):
         ok = lo > 0  # edge values are >= 0, so hi >= lo > 0

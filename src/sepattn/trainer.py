@@ -20,9 +20,10 @@ import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .datapipe import (
     load_pair,
     to_model_space,
 )
-from .diffcore import AdamState, Tensor4, adam_step, backward
+from .diffcore import AdamState, ShapeError, Tensor4, adam_step, backward
 from .diffcore.ops import BN_EPSILON, BN_MOMENTUM, LEAKY_SLOPE
 from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
@@ -59,6 +60,8 @@ __all__ = [
     "discriminator_phase",
     "train_step",
     "train",
+    "ENHANCE_CHUNK_PIXELS",
+    "enhance_records",
     "enhance_record",
     "evaluate",
     "save_checkpoint",
@@ -239,8 +242,8 @@ def _frozen(models: Dict[str, Model], names: Iterable[str]):
 def _stack_batch(samples: Sequence[PairedSample]) -> Tuple[Tensor4, Tensor4, np.ndarray]:
     if not samples:
         raise ValueError("empty batch")
-    x = Tensor4(np.concatenate([to_model_space(s.distorted).data for s in samples]))
-    y = Tensor4(np.concatenate([to_model_space(s.clean).data for s in samples]))
+    x = to_model_space(*(s.distorted for s in samples))
+    y = to_model_space(*(s.clean for s in samples))
     depth = np.stack([np.asarray(s.depth, dtype=np.float32) for s in samples])
     return x, y, depth
 
@@ -694,10 +697,41 @@ def train(
 # evaluation
 
 
+#: pixels per eval-mode generator forward: 16 images at 64 px, one at 256 px
+ENHANCE_CHUNK_PIXELS = 16 * 64 * 64
+
+
+def enhance_records(gen: Generator, records: Iterable[ImageRecord]) -> Iterator[ImageRecord]:
+    """Run images through a generator in eval mode, several per forward.
+
+    Records are read lazily, ``ENHANCE_CHUNK_PIXELS`` worth at a time, and the
+    enhanced ones come out in input order. Eval-mode batch norm uses the
+    running stats and each image's matmuls are separate BLAS calls within
+    ``np.matmul``'s stack loop, so every output has the bytes of a one-image
+    forward. A record of the wrong shape raises ``ShapeError`` naming its id
+    before its chunk runs.
+    """
+    size = gen.image_size
+    want = (netarch.IMAGE_CHANNELS, size, size)
+    per_forward = max(1, ENHANCE_CHUNK_PIXELS // (size * size))
+    it = iter(records)
+    while chunk := list(islice(it, per_forward)):
+        for rec in chunk:
+            if rec.pixels.shape != want:
+                c, h, w = rec.pixels.shape
+                raise ShapeError(
+                    f"{rec.id}: generator is built for {size}x{size} inputs with "
+                    f"{want[0]} channels, got {h}x{w} with {c}"
+                )
+        out = gen.forward(to_model_space(*chunk), training=False).data
+        for k, rec in enumerate(chunk):
+            yield from_model_space(Tensor4(out[k : k + 1]), id=rec.id)
+
+
 def enhance_record(gen: Generator, rec: ImageRecord) -> ImageRecord:
     """Run one image through a generator in eval mode (running norm stats)."""
-    out = gen.forward(to_model_space(rec), training=False)
-    return from_model_space(out, id=rec.id)
+    [out] = enhance_records(gen, [rec])
+    return out
 
 
 @dataclass(frozen=True)
@@ -733,19 +767,17 @@ def evaluate(
     _warn_depth_fallback(manifest, ids)
 
     if isinstance(checkpoint, str) and checkpoint == "identity":
-        enhance = lambda rec: rec
+        enhance = lambda recs: recs
     else:
         gen = load_generator(checkpoint)
-        enhance = lambda rec: enhance_record(gen, rec)
+        enhance = lambda recs: enhance_records(gen, recs)
 
-    model_items = []
-    input_items = []
-    for i in ids:
-        # depth plays no part in scoring: only the two images are read
-        distorted = load_image(manifest.path(i, "distorted"))
-        clean = load_image(manifest.path(i, "clean")).pixels
-        model_items.append((i, clean, enhance(distorted).pixels))
-        input_items.append((i, clean, distorted.pixels))
+    # depth plays no part in scoring: only the two images are read
+    distorted = [load_image(manifest.path(i, "distorted")) for i in ids]
+    clean = [load_image(manifest.path(i, "clean")).pixels for i in ids]
+    enhanced = [rec.pixels for rec in enhance(distorted)]
+    model_items = list(zip(ids, clean, enhanced))
+    input_items = [(i, c, d.pixels) for i, c, d in zip(ids, clean, distorted)]
     return EvalResult(
         model=batch_report(model_items, metric_names),
         input_baseline=batch_report(input_items, metric_names),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sepattn import cli, datapipe
+from sepattn import cli, datapipe, trainer
 from sepattn.datapipe import load_depth, load_image, save_depth, save_image
 from sepattn.diffcore import Tensor4, ops
 from sepattn.diffcore.gradcheck import OP_CASES, _rand
@@ -349,6 +349,36 @@ class TestEnhance:
         assert run_cli("enhance", "--checkpoint", str(trained_run / "ckpt_final.satt"),
                        "--in", str(tmp_path / "big.ppm"),
                        "--out", str(tmp_path / "o.ppm")) == 1
+
+    def test_wrong_size_in_directory_names_the_file(self, tmp_path, capsys):
+        cfg = trainer.TrainConfig.from_dict({**TINY_TRAIN, "image_size": 64})
+        models = trainer.build_models(cfg)
+        ckpt = tmp_path / "c64.satt"
+        save_checkpoint(trainer.bundle_from_live(
+            models, trainer.build_optimizers(models, cfg.lr), cfg, 0, 0), ckpt)
+        src = tmp_path / "in"
+        src.mkdir()
+        rng = np.random.default_rng(0)
+        for k in range(5):
+            save_image(datapipe.ImageRecord(
+                str(k), rng.integers(0, 256, (3, 64, 64), np.uint8)), src / f"{k}.ppm")
+        save_image(datapipe.ImageRecord(
+            "s", np.zeros((3, 32, 32), np.uint8)), src / "2b_small.ppm")
+        assert run_cli("enhance", "--checkpoint", str(ckpt), "--in", str(src),
+                       "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert str(src / "2b_small.ppm") in err and "64x64" in err and "32x32" in err
+
+    def test_directory_matches_enhance_record(self, dataset, trained_run, tmp_path):
+        ckpt = trained_run / "ckpt_final.satt"
+        out = tmp_path / "batch"
+        assert run_cli("enhance", "--checkpoint", str(ckpt),
+                       "--in", str(dataset / "distorted"), "--out", str(out)) == 0
+        gen = trainer.load_generator(ckpt)
+        for src in sorted((dataset / "distorted").iterdir()):
+            want = trainer.enhance_record(gen, load_image(src)).pixels
+            assert load_image(out / src.name).pixels.tobytes() == want.tobytes()
 
 
 class TestEval:

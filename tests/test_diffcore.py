@@ -795,6 +795,18 @@ class TestGradCheck:
         res = dc.grad_check(broken, [x], name="broken")
         assert not res.passed
 
+    def test_non_contiguous_input_passes(self):
+        # reshape(-1) of a transposed view is a copy: perturbing through one
+        # would leave the op's input as it was and read every difference as 0
+        rng = np.random.default_rng(7)
+        x = t4((np.round(rng.uniform(-1, 1, (2, 3, 5, 4)) * 64) / 64).transpose(0, 1, 3, 2))
+        assert not x.data.flags.c_contiguous
+        w = t4(np.round(rng.uniform(-0.5, 0.5, (2, 3, 3, 3)) * 64) / 64)
+        res = dc.grad_check(
+            lambda x, w: ops.conv2d(x, w, None, stride=1, padding=1), [x, w], name="conv2d_t"
+        )
+        assert res.passed, res.summary()
+
     def test_registry_covers_all_ops_and_passes(self):
         res = dc.run_registry(seeds=(0, 1))
         assert all(r.passed for r in res), [r.summary() for r in res if not r.passed]

@@ -372,6 +372,22 @@ class TestUiqmBitExact:
         assert np.float64(sqrt_uism).tobytes() != np.float64(ref_uism(img)).tobytes()
         self.assert_same_bytes(img)
 
+    def test_checkerboard_reaches_largest_sobel_value(self):
+        # 4 px squares of 0 and 255: three rows inside one square see a full
+        # 0 -> 255 column step, the largest |gx| an 8-bit image allows
+        img = np.broadcast_to(
+            (np.indices((64, 64)) // 4).sum(axis=0) % 2 * 255, (3, 64, 64)
+        ).astype(np.uint8)
+        gx = ref_sobel_magnitude(img[0].astype(np.float64), lambda gx, gy: gx)
+        assert np.abs(gx).max() == 1020
+        self.assert_same_bytes(img)
+
+    def test_sobel_magnitude_is_hypot_on_every_pair(self):
+        g = np.arange(-1020, 1021, dtype=np.int16)
+        gx, gy = np.meshgrid(g, g, indexing="ij")  # all 2041² signed pairs
+        got = metrics._sobel_magnitude(gx, gy)
+        assert got.tobytes() == np.hypot(gx.astype(np.float64), gy.astype(np.float64)).tobytes()
+
     def test_trimmed_mean_ignores_order(self):
         rng = np.random.default_rng(32)
         img = rng.integers(0, 256, (3, 64, 64)).astype(np.float64)

@@ -10,9 +10,10 @@ import pytest
 
 from sepattn import datapipe, trainer
 from sepattn.datapipe import DegradeParams, generate_synthetic_dataset, load_pair
-from sepattn.diffcore import Tensor4, adam_step, backward
+from sepattn.diffcore import ShapeError, Tensor4, adam_step, backward
 from sepattn.losses import full_generator_loss
-from sepattn.netarch import DiscriminatorConfig, GeneratorConfig
+from sepattn.metrics import batch_report
+from sepattn.netarch import DiscriminatorConfig, Generator, GeneratorConfig
 from sepattn.trainer import (
     LOG_FIELDS,
     LOG_HEADER,
@@ -880,6 +881,71 @@ class TestTrainLoop:
             train(tiny_dataset, cfg, tmp_path)
 
 
+def enhance_one_by_one(gen, records):
+    """The one-image-per-forward inference every batched output must equal."""
+    return [
+        datapipe.from_model_space(gen.forward(datapipe.to_model_space(r), training=False), id=r.id)
+        for r in records
+    ]
+
+
+class TestBatchedEnhance:
+    @pytest.fixture(scope="class")
+    def desk_gen(self):
+        """A 64 px desk generator whose running stats spread outputs over [-1, 1]."""
+        gen = Generator(desk_config().generator, 64, seed=4)
+        rng = np.random.default_rng(4)
+        for stats in gen._stats.values():
+            stats.mean[:] = rng.normal(0.0, 0.01, stats.mean.shape)
+            stats.var[:] = rng.uniform(5e-4, 2e-3, stats.var.shape)
+        return gen
+
+    @staticmethod
+    def records(n, size=64, seed=0):
+        rng = np.random.default_rng(seed)
+        return [
+            datapipe.ImageRecord(f"im{k:02d}", rng.integers(0, 256, (3, size, size), np.uint8))
+            for k in range(n)
+        ]
+
+    def test_desk_chunks_match_one_image_forwards(self, desk_gen):
+        per = trainer.ENHANCE_CHUNK_PIXELS // (64 * 64)
+        assert per == 16 and trainer.ENHANCE_CHUNK_PIXELS // (256 * 256) == 1
+        recs = self.records(2 * per + 3)
+        want = enhance_one_by_one(desk_gen, recs)
+        assert len({r.pixels.tobytes() for r in want}) == len(want)
+        assert len(np.unique(np.concatenate([r.pixels.ravel() for r in want]))) > 200
+        # one image, a chunk less one, a whole chunk, a chunk plus one, a ragged third chunk
+        for n in (1, per - 1, per, per + 1, len(recs)):
+            got = list(trainer.enhance_records(desk_gen, recs[:n]))
+            assert [r.id for r in got] == [r.id for r in want[:n]]
+            assert [r.pixels.tobytes() for r in got] == [r.pixels.tobytes() for r in want[:n]]
+        one = trainer.enhance_record(desk_gen, recs[5])
+        assert one.id == "im05" and one.pixels.tobytes() == want[5].pixels.tobytes()
+
+    def test_reads_one_chunk_ahead_only(self, desk_gen):
+        recs = self.records(40)
+        read = []
+
+        def source():
+            for r in recs:
+                read.append(r.id)
+                yield r
+
+        it = trainer.enhance_records(desk_gen, source())
+        next(it)
+        assert len(read) == 16
+
+    def test_wrong_shape_names_the_record(self, desk_gen):
+        small = datapipe.ImageRecord("small", np.zeros((3, 32, 32), np.uint8))
+        gray = datapipe.ImageRecord("gray", np.zeros((1, 64, 64), np.uint8))
+        with pytest.raises(ShapeError, match="small: generator is built for 64x64 inputs "
+                                             "with 3 channels, got 32x32 with 3"):
+            list(trainer.enhance_records(desk_gen, self.records(3) + [small]))
+        with pytest.raises(ShapeError, match="gray: .* got 64x64 with 1"):
+            trainer.enhance_record(desk_gen, gray)
+
+
 class TestEvaluate:
     def test_identity_pseudo_checkpoint_equals_input_baseline(self, tiny_dataset):
         res = evaluate("identity", tiny_dataset, split="train", metric_names=("psnr", "ssim"))
@@ -893,6 +959,26 @@ class TestEvaluate:
         rerun = evaluate(tmp_path / "ckpt_final.satt", tiny_dataset, split="train")
         assert rerun.model.to_csv() == res.model.to_csv()
         assert "input:" in res.to_text() and "model:" in res.to_text()
+
+    def test_checkpoint_matches_per_image_reference(self, tmp_path, tiny_dataset, monkeypatch):
+        train(tiny_dataset, tiny_config(epochs=1), tmp_path)
+        ckpt = tmp_path / "ckpt_final.satt"
+        ids = tiny_dataset.ids("train")
+        distorted = [datapipe.load_image(tiny_dataset.path(i, "distorted")) for i in ids]
+        clean = [datapipe.load_image(tiny_dataset.path(i, "clean")).pixels for i in ids]
+        enhanced = enhance_one_by_one(load_generator(ckpt), distorted)
+        want = trainer.EvalResult(
+            model=batch_report([(i, c, e.pixels) for i, c, e in zip(ids, clean, enhanced)]),
+            input_baseline=batch_report([(i, c, d.pixels) for i, c, d in zip(ids, clean, distorted)]),
+        )
+        # the whole split in one forward, then three images per forward with a ragged tail
+        assert len(ids) % 3
+        for chunk_pixels in (trainer.ENHANCE_CHUNK_PIXELS, 3 * 16 * 16):
+            monkeypatch.setattr(trainer, "ENHANCE_CHUNK_PIXELS", chunk_pixels)
+            got = evaluate(ckpt, tiny_dataset, split="train")
+            assert got.model.ids == want.model.ids and got.model.rows == want.model.rows
+            assert got.input_baseline.rows == want.input_baseline.rows
+            assert got.to_text() == want.to_text()
 
     def test_empty_split_rejected(self, tiny_dataset):
         with pytest.raises(ValueError, match="empty"):

@@ -169,10 +169,7 @@ def cmd_enhance(args) -> int:
         if args.checkpoint == "identity":
             enhance = lambda recs: recs
         else:
-            ckpt_path = Path(args.checkpoint)
-            if not ckpt_path.is_file():
-                raise ValueError(f"checkpoint not found: {ckpt_path}")
-            gen = load_generator(ckpt_path)
+            gen = load_generator(args.checkpoint)
             enhance = lambda recs: enhance_records(gen, recs)
         in_path = Path(getattr(args, "in"))
         inputs = _iter_input_images(in_path)

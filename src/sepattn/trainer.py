@@ -38,7 +38,6 @@ from .datapipe import (
     to_model_space,
 )
 from .diffcore import AdamState, ShapeError, Tensor4, adam_step, backward
-from .diffcore.ops import BN_EPSILON, BN_MOMENTUM, LEAKY_SLOPE
 from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
@@ -75,25 +74,14 @@ __all__ = [
 LOG_HEADER = "epoch,step," + ",".join(LOG_FIELDS) + ",ms"
 
 CHECKPOINT_MAGIC = b"SATT"
-CHECKPOINT_VERSION = 2  # version 1 had no CRC32 trailer; it still loads
+CHECKPOINT_VERSION = 2  # the one layout read and written: records, then a CRC32 trailer
 _DTYPE_TAGS = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
+_TAG_OF_DTYPE = {dtype: tag for tag, dtype in _DTYPE_TAGS.items()}
 
 # fixed per-model seed offsets: every model gets its own init stream
 _MODEL_SEED_OFFSETS = {"gen_xy": 0, "gen_yx": 1, "disc_x": 2, "disc_y": 3}
 _GENERATORS = ("gen_xy", "gen_yx")
 _DISCRIMINATORS = ("disc_x", "disc_y")
-
-# keys of older configs, per section, and the values they may still hold; a
-# nested image_size may also hold the config's own top-level image_size
-_FIXED_LAYERS = {"leaky_slope": (LEAKY_SLOPE,), "bn_epsilon": (BN_EPSILON,),
-                 "bn_momentum": (BN_MOMENTUM,)}
-_RETIRED_KEYS = {
-    "config": {"gan_kind": ("least_squares",), "shared_region_discriminators": (True,)},
-    "generator": {"in_channels": (netarch.IMAGE_CHANNELS,), "kernel": (netarch.GEN_KERNEL,),
-                  "image_size": (), **_FIXED_LAYERS},
-    "discriminator": {"in_channels": (netarch.PAIR_CHANNELS,), "kernel": (netarch.DISC_KERNEL,),
-                      "stride": (2,), "image_size": (None,), **_FIXED_LAYERS},
-}
 
 
 class CheckpointError(ValueError):
@@ -144,31 +132,7 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
-        """Typed config from a document; retired keys at their kept values are dropped."""
-        doc = _drop_retired(doc, "config")
-        image_size = doc.get("image_size", TrainConfig.image_size)
-        for section in ("generator", "discriminator"):
-            if isinstance(doc.get(section), dict):
-                doc[section] = _drop_retired(doc[section], section, image_size)
         return TrainConfig(**typed_fields(TrainConfig, doc, "config"))
-
-
-def _drop_retired(doc: dict, section: str, image_size=None) -> dict:
-    """``doc`` without ``section``'s retired keys; each must hold a kept value.
-
-    Any other value is a ValueError naming ``section.key``.
-    """
-    doc = dict(doc)
-    for key, kept in _RETIRED_KEYS[section].items():
-        if key in doc:
-            value = doc.pop(key)
-            if key == "image_size":
-                kept = (image_size,) + kept
-            if not any(type(value) is type(k) and value == k for k in kept):
-                name = key if section == "config" else f"{section}.{key}"
-                allowed = " or ".join(repr(k) for k in kept)
-                raise ValueError(f"{name} = {value!r} is no longer supported; only {allowed} is")
-    return doc
 
 
 def desk_config(**overrides) -> TrainConfig:
@@ -346,7 +310,6 @@ def train_step(
 
 @dataclass
 class CheckpointBundle:
-    version: int
     config: dict  # TrainConfig.to_dict() snapshot
     tensors: Dict[str, np.ndarray]
     state: dict  # optim_steps, next_epoch, global_step, seed
@@ -385,9 +348,7 @@ def bundle_from_live(
         "global_step": global_step,
         "seed": config.seed,
     }
-    return CheckpointBundle(
-        version=CHECKPOINT_VERSION, config=config.to_dict(), tensors=tensors, state=state
-    )
+    return CheckpointBundle(config=config.to_dict(), tensors=tensors, state=state)
 
 
 def _write_block(out: List[bytes], payload: bytes) -> None:
@@ -396,27 +357,19 @@ def _write_block(out: List[bytes], payload: bytes) -> None:
 
 
 def save_checkpoint(bundle: CheckpointBundle, path) -> None:
-    """Write the bundle; a CRC32 of every byte before it ends the file.
-
-    The layout is always the current one, so a bundle read from an older
-    version is written as ``CHECKPOINT_VERSION``.
-    """
-    version = max(bundle.version, CHECKPOINT_VERSION)
-    out: List[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", version)]
+    """Write the bundle; a CRC32 of every byte before it ends the file."""
+    out: List[bytes] = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     _write_block(out, json.dumps(bundle.config, sort_keys=True, separators=(",", ":")).encode())
     out.append(struct.pack("<I", len(bundle.tensors)))
     for name in sorted(bundle.tensors):
         arr = bundle.tensors[name]
-        if arr.dtype == np.float32:
-            tag, cast = 1, "<f4"
-        elif arr.dtype == np.float64:
-            tag, cast = 2, "<f8"
-        else:
+        tag = _TAG_OF_DTYPE.get(arr.dtype)
+        if tag is None:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
         _write_block(out, name.encode())
         out.append(struct.pack("<BI", tag, arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(np.ascontiguousarray(arr, dtype=cast).tobytes())
+        out.append(np.ascontiguousarray(arr, dtype=_DTYPE_TAGS[tag]).tobytes())
     _write_block(out, json.dumps(bundle.state, sort_keys=True, separators=(",", ":")).encode())
     crc = 0
     for chunk in out:
@@ -429,7 +382,7 @@ class _Reader:
     def __init__(self, buf: bytes, path):
         self.buf = buf
         self.pos = 0
-        self.end = len(buf)  # a version 2 trailer is cut off before the blocks are read
+        self.end = len(buf)  # the CRC32 trailer is cut off before the records are read
         self.path = path
 
     def take(self, n: int, what: str) -> bytes:
@@ -448,34 +401,39 @@ class _Reader:
     def block(self, what: str) -> bytes:
         return self.take(self.u32(what + " length"), what)
 
+    def json_block(self, what: str):
+        raw = self.block(f"{what} JSON")
+        try:
+            return json.loads(raw)
+        except ValueError as exc:
+            raise CheckpointError(f"{self.path}: corrupt {what} JSON: {exc}") from exc
+
 
 def load_checkpoint(path) -> CheckpointBundle:
     path = Path(path)
+    if not path.is_file():
+        raise CheckpointError(f"checkpoint not found: {path}")
     r = _Reader(path.read_bytes(), path)
     magic = r.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {magic!r} (want {CHECKPOINT_MAGIC!r})")
     version = r.u32("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version} (reader supports 1 to "
+            f"{path}: unsupported checkpoint version {version} (reader supports "
             f"{CHECKPOINT_VERSION})"
         )
-    if version >= 2:
-        r.end -= 4
-        if r.end < r.pos:
-            raise CheckpointError(f"{path}: truncated before the CRC32 trailer")
-        stored = struct.unpack_from("<I", r.buf, r.end)[0]
-        computed = zlib.crc32(memoryview(r.buf)[: r.end])
-        if stored != computed:
-            raise CheckpointError(
-                f"{path}: checksum mismatch (stored CRC32 {stored:08x}, computed "
-                f"{computed:08x}); the file is corrupt"
-            )
-    try:
-        config = json.loads(r.block("config JSON"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: corrupt config JSON: {exc}") from exc
+    r.end -= 4
+    if r.end < r.pos:
+        raise CheckpointError(f"{path}: truncated before the CRC32 trailer")
+    stored = struct.unpack_from("<I", r.buf, r.end)[0]
+    computed = zlib.crc32(memoryview(r.buf)[: r.end])
+    if stored != computed:
+        raise CheckpointError(
+            f"{path}: checksum mismatch (stored CRC32 {stored:08x}, computed "
+            f"{computed:08x}); the file is corrupt"
+        )
+    config = r.json_block("config")
     count = r.u32("tensor count")
     tensors: Dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -491,25 +449,26 @@ def load_checkpoint(path) -> CheckpointBundle:
             tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
         except ValueError as exc:  # e.g. a corrupt rank beyond numpy's limit
             raise CheckpointError(f"{path}: tensor {name!r} has bad dims: {exc}") from exc
-    try:
-        state = json.loads(r.block("state JSON"))
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: corrupt state JSON: {exc}") from exc
+    state = r.json_block("state")
     if r.pos != r.end:
         raise CheckpointError(
             f"{path}: {r.end - r.pos} unexpected trailing bytes after the state block"
         )
     _check_blocks(config, state, path)
-    return CheckpointBundle(version=version, config=config, tensors=tensors, state=state)
+    return CheckpointBundle(config=config, tensors=tensors, state=state)
 
 
 def _check_blocks(config, state, path) -> None:
-    """Refuse config and state blocks of a shape that resuming cannot use."""
+    """Refuse config and state blocks that loading a model or resuming cannot use."""
     for what, block in (("config", config), ("state", state)):
         if not isinstance(block, dict):
             raise CheckpointError(
                 f"{path}: {what} block must be a JSON object, got {type(block).__name__}"
             )
+    try:
+        TrainConfig.from_dict(config).validate()
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: config block: {exc}") from exc
     is_count = lambda v: type(v) is int and v >= 0
     for key in ("next_epoch", "global_step"):
         if not is_count(state.get(key)):

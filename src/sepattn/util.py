@@ -40,26 +40,28 @@ def map_units(fn: Callable, units: Iterable) -> List:
         return list(pool.map(fn, units))
 
 
-def typed_fields(cls, doc: dict, where: str) -> dict:
+def typed_fields(cls, doc: dict, where: str, nested: bool = False) -> dict:
     """``doc``'s values checked against the types of dataclass ``cls``'s fields.
 
     int fields reject bools and floats; float fields also take ints (stored as
     float) and reject NaN and the infinities; a fixed-length tuple field such as
     ``Tuple[float, float, float]`` takes a list of exactly that many reals; a
     nested dataclass must be an object. Unknown keys, and any mismatch, are a
-    ValueError naming the key.
+    ValueError naming the key; an unknown key of a nested dataclass is named
+    ``section.key``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be an object, got {doc!r}")
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(doc) - set(hints))
     if unknown:
+        unknown = [f"{where}.{k}" for k in unknown] if nested else unknown
         raise ValueError(f"unknown {where} keys {unknown}; known keys: {sorted(hints)}")
     out = {}
     for key, value in doc.items():
         want = hints[key]
         if dataclasses.is_dataclass(want):
-            value = want(**typed_fields(want, value, key))
+            value = want(**typed_fields(want, value, key, nested=True))
         elif typing.get_origin(want) is tuple:
             items = typing.get_args(want)
             if not isinstance(value, (list, tuple)) or len(value) != len(items):

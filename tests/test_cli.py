@@ -218,23 +218,6 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
 
-    def test_retired_keys_at_kept_values_train(self, dataset, trained_run, tmp_path):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            **TINY_TRAIN, "gan_kind": "least_squares", "shared_region_discriminators": True,
-            "generator": {**TINY_TRAIN["generator"], "image_size": 16, "in_channels": 3,
-                          "kernel": 4, "leaky_slope": 0.2, "bn_epsilon": 1e-5,
-                          "bn_momentum": 0.1},
-            "discriminator": {**TINY_TRAIN["discriminator"], "image_size": 16,
-                              "in_channels": 6, "kernel": 3, "stride": 2,
-                              "leaky_slope": 0.2, "bn_epsilon": 1e-5, "bn_momentum": 0.1},
-        }))
-        out = tmp_path / "r"
-        assert run_cli("train", "--config", str(cfg), "--data", str(dataset),
-                       "--out", str(out)) == 0
-        assert (out / "ckpt_final.satt").read_bytes() == (
-            trained_run / "ckpt_final.satt").read_bytes()
-
     def test_malformed_json_is_usage_error(self, dataset, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")
@@ -273,6 +256,49 @@ class TestTrain:
                        "--data", str(tmp_path / "nowhere"),
                        "--out", str(tmp_path / "r")) == 1
         assert "manifest" in capsys.readouterr().err
+
+
+def _absent(ckpt, trained_run):
+    return f"checkpoint not found: {ckpt}"
+
+
+def _directory(ckpt, trained_run):
+    ckpt.mkdir()
+    return f"checkpoint not found: {ckpt}"
+
+
+def _version_1(ckpt, trained_run):
+    raw = (trained_run / "ckpt_final.satt").read_bytes()
+    ckpt.write_bytes(raw[:4] + (1).to_bytes(4, "little") + raw[8:-4])  # no CRC32 trailer
+    return f"{ckpt}: unsupported checkpoint version 1 (reader supports 2)"
+
+
+def _retired_config_key(ckpt, trained_run):
+    bundle = load_checkpoint(trained_run / "ckpt_init.satt")
+    bundle.config["generator"]["kernel"] = 4
+    save_checkpoint(bundle, ckpt)
+    return (f"{ckpt}: config block: unknown generator keys ['generator.kernel']; "
+            "known keys: ['base_channels', 'depth', 'max_channels']")
+
+
+class TestCheckpointRefused:
+    """enhance, eval and train --resume refuse an unloadable checkpoint alike."""
+
+    @pytest.mark.parametrize("command", ["enhance", "eval", "train"])
+    @pytest.mark.parametrize("make", [_absent, _directory, _version_1, _retired_config_key])
+    def test_same_one_line_runtime_error(self, dataset, config_file, trained_run, tmp_path,
+                                         capsys, command, make):
+        ckpt = tmp_path / "c.satt"
+        message = make(ckpt, trained_run)
+        argv = {
+            "enhance": ["--checkpoint", str(ckpt), "--in", str(dataset / "distorted" / "00000.ppm"),
+                        "--out", str(tmp_path / "o.ppm")],
+            "eval": ["--checkpoint", str(ckpt), "--data", str(dataset)],
+            "train": ["--resume", str(ckpt), "--config", str(config_file), "--data", str(dataset),
+                      "--out", str(tmp_path / "r")],
+        }[command]
+        assert run_cli(command, *argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestEnhance:

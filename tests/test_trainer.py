@@ -1,6 +1,5 @@
 """Training loop behavior: stepping, partition, determinism, checkpoints."""
 import hashlib
-import json
 import re
 import zlib
 from dataclasses import replace
@@ -37,6 +36,10 @@ from sepattn.trainer import (
 )
 
 
+# SHA-256 of the checkpoint ``TestCheckpoint.test_layout_is_pinned`` writes
+PINNED_LAYOUT_SHA256 = "ff69f070de95b49ab97ed862e875e71332212cfb096cb76a38224bcb82500398"
+
+
 def tiny_config(**overrides) -> TrainConfig:
     cfg = TrainConfig(
         batch_size=2,
@@ -71,8 +74,13 @@ def model_bytes(model) -> bytes:
 
 
 def as_version_1(raw: bytes) -> bytes:
-    """A saved checkpoint in the version 1 layout: same records, no CRC32 trailer."""
+    """A saved checkpoint in the retired version 1 layout: same records, no CRC32 trailer."""
     return raw[:4] + (1).to_bytes(4, "little") + raw[8:-4]
+
+
+def sealed_body(body: bytes) -> bytes:
+    """``body`` with the CRC32 trailer a checkpoint ends in."""
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 def strip_ms(csv_text: str) -> str:
@@ -114,14 +122,6 @@ class TestConfig:
         back = TrainConfig.from_dict(cfg.to_dict())
         assert back == cfg
 
-    def test_retired_keys_at_kept_values_load_and_hash_the_same(self):
-        cfg = tiny_config()
-        doc = {**cfg.to_dict(), "gan_kind": "least_squares", "shared_region_discriminators": True}
-        back = TrainConfig.from_dict(doc)
-        assert back == cfg
-        assert config_hash(back) == config_hash(cfg)
-        assert CheckpointBundle(1, doc, {}, {}).hash == config_hash(cfg)
-
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -135,43 +135,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig.from_dict(doc)
 
-    # the two profiles' config documents as written before the fixed layer
-    # recipe moved into netarch constants; every older checkpoint carries one
-    # of these shapes
-    OLD_FULL = {
-        "cycle_weight": 10.0, "fg_attention": 7.0, "bg_attention": 3.0, "batch_size": 5,
-        "lr": 0.0002, "epochs": 100, "image_size": 256, "seed": 0, "checkpoint_every": 10,
-        "generator": {"image_size": 256, "in_channels": 3, "depth": 5, "base_channels": 16,
-                      "max_channels": 256, "kernel": 4, "leaky_slope": 0.2,
-                      "bn_epsilon": 1e-05, "bn_momentum": 0.1},
-        "discriminator": {"in_channels": 6, "num_layers": 2, "base_channels": 64,
-                          "max_channels": 512, "kernel": 3, "stride": 2, "leaky_slope": 0.2,
-                          "bn_epsilon": 1e-05, "bn_momentum": 0.1, "image_size": None},
-    }
-    OLD_DESK = {
-        **OLD_FULL, "epochs": 30, "image_size": 64, "seed": 7,
-        "generator": {**OLD_FULL["generator"], "image_size": 64, "depth": 3},
-        "discriminator": {**OLD_FULL["discriminator"], "num_layers": 3, "base_channels": 16,
-                          "image_size": 64},
-    }
-
-    @pytest.mark.parametrize("old, new", [(OLD_FULL, TrainConfig()), (OLD_DESK, desk_config())])
-    def test_older_profile_documents_load(self, old, new):
-        back = TrainConfig.from_dict(old)
-        assert back == new
-        assert config_hash(back) == config_hash(new)
-        assert CheckpointBundle(2, old, {}, {}).hash == config_hash(new)
-
+    # keys earlier configs carried, each at the one value it could still hold
     @pytest.mark.parametrize(
         "section, key, value",
         [
+            (None, "gan_kind", "least_squares"),
+            (None, "shared_region_discriminators", True),
             ("generator", "image_size", 16),
             ("generator", "in_channels", 3),
             ("generator", "kernel", 4),
             ("generator", "leaky_slope", 0.2),
             ("generator", "bn_epsilon", 1e-5),
             ("generator", "bn_momentum", 0.1),
-            ("discriminator", "image_size", 16),
             ("discriminator", "image_size", None),
             ("discriminator", "in_channels", 6),
             ("discriminator", "kernel", 3),
@@ -181,38 +156,15 @@ class TestConfig:
             ("discriminator", "bn_momentum", 0.1),
         ],
     )
-    def test_retired_nested_keys_at_kept_values_load_and_hash_the_same(self, section, key, value):
-        cfg = tiny_config()
-        doc = cfg.to_dict()
-        doc[section] = {**doc[section], key: value}
-        back = TrainConfig.from_dict(json.loads(json.dumps(doc)))
-        assert back == cfg
-        assert config_hash(back) == config_hash(cfg)
-
-    @pytest.mark.parametrize(
-        "section, key, value",
-        [
-            ("generator", "image_size", 32),
-            ("generator", "image_size", None),
-            ("generator", "image_size", 16.0),
-            ("generator", "in_channels", 1),
-            ("generator", "kernel", 3),
-            ("generator", "leaky_slope", 0.1),
-            ("generator", "bn_epsilon", 1e-3),
-            ("generator", "bn_momentum", 0.9),
-            ("discriminator", "image_size", 64),
-            ("discriminator", "kernel", 4),
-            ("discriminator", "stride", 1),
-            ("discriminator", "stride", True),
-            ("discriminator", "leaky_slope", "0.2"),
-            ("discriminator", "bn_epsilon", 0),
-            ("discriminator", "bn_momentum", None),
-        ],
-    )
-    def test_retired_nested_keys_at_other_values_rejected(self, section, key, value):
+    def test_retired_keys_are_unknown(self, section, key, value):
         doc = tiny_config().to_dict()
-        doc[section] = {**doc[section], key: value}
-        with pytest.raises(ValueError, match=f"{section}.{key} = "):
+        if section is None:
+            doc[key] = value
+            message = f"unknown config keys [{key!r}]"
+        else:
+            doc[section] = {**doc[section], key: value}
+            message = f"unknown {section} keys ['{section}.{key}']"
+        with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig.from_dict(doc)
 
     def test_bare_candidate_discriminator_rejected(self):
@@ -245,12 +197,9 @@ class TestConfig:
 
     def test_float_fields_take_ints(self):
         doc = {**tiny_config().to_dict(), "lr": 1, "fg_attention": 7}
-        doc["discriminator"] = {**doc["discriminator"], "image_size": None}
         cfg = TrainConfig.from_dict(doc)
         assert type(cfg.lr) is float and cfg.lr == 1.0
         assert config_hash(cfg) == config_hash(replace(cfg, fg_attention=7.0))
-        assert cfg.discriminator == tiny_config().discriminator  # the null is dropped
-        assert "image_size" not in cfg.to_dict()["discriminator"]
 
     def test_unknown_keys_rejected(self):
         doc = tiny_config().to_dict()
@@ -495,7 +444,6 @@ class TestCheckpoint:
         p = tmp_path / "c.satt"
         save_checkpoint(bundle, p)
         back = load_checkpoint(p)
-        assert back.version == bundle.version
         assert back.config == bundle.config
         assert back.state == bundle.state
         assert set(back.tensors) == set(bundle.tensors)
@@ -529,12 +477,25 @@ class TestCheckpoint:
             load_checkpoint(p)
 
     def test_bad_version(self, tmp_path):
-        cfg, models, optims = self._live(steps=0)
-        bundle = bundle_from_live(models, optims, cfg, 0, 0)
-        bundle.version = 77
+        raw = self._saved(tmp_path)
         p = tmp_path / "c.satt"
-        save_checkpoint(bundle, p)
+        p.write_bytes(raw[:4] + (77).to_bytes(4, "little") + raw[8:])
         with pytest.raises(CheckpointError, match="version 77"):
+            load_checkpoint(p)
+
+    def test_version_1_refused(self, tmp_path):
+        p = tmp_path / "v1.satt"
+        p.write_bytes(as_version_1(self._saved(tmp_path)))
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{p}: unsupported checkpoint version 1 (reader supports 2)")):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_absent_file_is_not_found(self, tmp_path, make):
+        p = tmp_path / "c.satt"
+        make(p)
+        with pytest.raises(CheckpointError, match=re.escape(f"checkpoint not found: {p}")):
             load_checkpoint(p)
 
     def test_file_ends_with_crc32_of_the_rest(self, tmp_path):
@@ -609,57 +570,84 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 load_checkpoint(p)
 
-    def test_version_1_checkpoint_still_loads(self, tmp_path, tiny_dataset):
-        cfg, models, optims = self._live(dataset=tiny_dataset)
-        bundle = bundle_from_live(models, optims, cfg, 1, 1)
-        p = tmp_path / "c.satt"
-        save_checkpoint(bundle, p)
-        raw = p.read_bytes()
-        v1 = tmp_path / "v1.satt"
-        v1.write_bytes(as_version_1(raw))
-        back = load_checkpoint(v1)
-        assert back.version == 1
-        assert back.config == bundle.config and back.state == bundle.state
-        assert all(back.tensors[k].tobytes() == v.tobytes() for k, v in bundle.tensors.items())
-        assert model_bytes(load_generator(v1)) == model_bytes(models["gen_xy"])
-        # written back, it takes the current layout, CRC32 trailer and all
-        resaved = tmp_path / "resaved.satt"
-        save_checkpoint(back, resaved)
-        assert resaved.read_bytes() == raw
-        with v1.open("ab") as f:
-            f.write(raw[-4:])
-        with pytest.raises(CheckpointError, match="4 unexpected trailing bytes"):
-            load_checkpoint(v1)
-
-    def _saved(self, tmp_path, version=2) -> bytes:
+    def _saved(self, tmp_path) -> bytes:
         cfg, models, optims = self._live(steps=0)
         p = tmp_path / "c.satt"
         save_checkpoint(bundle_from_live(models, optims, cfg, 0, 0), p)
-        raw = p.read_bytes()
-        return raw if version == 2 else as_version_1(raw)
+        return p.read_bytes()
 
+    # a sealed file carries a valid CRC32 of its edited body, so it reaches
+    # the structural checks
     @pytest.mark.parametrize(
-        "version, keep, match",
+        "sealed, keep, match",
         [
-            (2, 100, "checksum mismatch"),
-            (2, 10, "truncated before the CRC32 trailer"),
-            (1, 100, "truncated at byte"),
+            (False, 100, "checksum mismatch"),
+            (False, 10, "truncated before the CRC32 trailer"),
+            (True, 100, "truncated at byte"),
         ],
     )
-    def test_truncated_file(self, tmp_path, version, keep, match):
+    def test_truncated_file(self, tmp_path, sealed, keep, match):
+        raw = self._saved(tmp_path)
         p = tmp_path / "t.satt"
-        p.write_bytes(self._saved(tmp_path, version)[:keep])
+        p.write_bytes(sealed_body(raw[:-4][:keep]) if sealed else raw[:keep])
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(p)
 
     @pytest.mark.parametrize(
-        "version, match", [(2, "checksum mismatch"), (1, "7 unexpected trailing bytes")]
+        "sealed, match", [(False, "checksum mismatch"), (True, "7 unexpected trailing bytes")]
     )
-    def test_trailing_bytes_rejected(self, tmp_path, version, match):
+    def test_trailing_bytes_rejected(self, tmp_path, sealed, match):
+        raw = self._saved(tmp_path)
         p = tmp_path / "t.satt"
-        p.write_bytes(self._saved(tmp_path, version) + b"GARBAGE")
+        p.write_bytes(sealed_body(raw[:-4] + b"GARBAGE") if sealed else raw + b"GARBAGE")
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(p)
+
+    @pytest.mark.parametrize("block", ["config", "state"])
+    def test_block_cut_short_is_named_once(self, tmp_path, block):
+        body = self._saved(tmp_path)[:-4]
+        config_len = int.from_bytes(body[8:12], "little")
+        if block == "config":
+            pos, need = 8, config_len
+        else:
+            pos = body.rindex(b'{"global_step"') - 4
+            need = len(body) - pos - 4
+        p = tmp_path / "t.satt"
+        p.write_bytes(sealed_body(body[: pos + 4 + 10]))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(p)
+        assert str(err.value) == (
+            f"{p}: truncated at byte {pos + 4} reading {block} JSON (need {need} bytes, have 10)"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda c: c["generator"].update(kernel=4),
+             "unknown generator keys ['generator.kernel']"),  # an older schema's key
+            (lambda c: c.update(batch_size=0), "batch_size must be >= 1"),
+        ],
+    )
+    def test_config_block_refused_naming_file_and_key(self, tmp_path, edit, message):
+        cfg, models, optims = self._live(steps=0)
+        bundle = bundle_from_live(models, optims, cfg, 0, 0)
+        edit(bundle.config)
+        p = tmp_path / "c.satt"
+        save_checkpoint(bundle, p)
+        with pytest.raises(CheckpointError, match=re.escape(f"{p}: config block: {message}")):
+            load_checkpoint(p)
+
+    def test_layout_is_pinned(self, tmp_path):
+        """The bytes of one fixed bundle; a change here must bump CHECKPOINT_VERSION."""
+        tensors = {
+            "a/f32": np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 7,
+            "b/f64": np.arange(5, dtype=np.float64) - 2.5,
+            "c/scalar": np.array(3.25, dtype=np.float32),
+        }
+        state = {"global_step": 3, "next_epoch": 1, "optim_steps": {"gen_xy": 3}, "seed": 7}
+        p = tmp_path / "pin.satt"
+        save_checkpoint(CheckpointBundle(desk_config().to_dict(), tensors, state), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == PINNED_LAYOUT_SHA256
 
     @pytest.mark.parametrize(
         "edit, match",

@@ -1,12 +1,16 @@
 """Command-line surface: dataset generation, training, enhancement, scoring.
 
-Exit codes are a stable scripting contract: 0 success, 1 runtime failure,
-2 usage or validation error (argparse's own convention). Every command is
-deterministic given its flags; `SATT_THREADS` caps worker concurrency.
+Exit codes are a stable scripting contract: 0 success, 2 bad flags or a bad
+config (argparse's own convention), 1 any other reported failure. Either
+failure prints one `error: <message>` line to stderr. Commands return 0 or
+raise; `main` alone turns an exception into that line and its code. Every
+command is deterministic given its flags; `SATT_THREADS` caps worker
+concurrency.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -18,8 +22,6 @@ import numpy as np
 from .datapipe import (
     DEGRADE_PRESETS,
     ImageRecord,
-    LayoutError,
-    ParseError,
     degrade_params_from,
     generate_synthetic_dataset,
     load_depth,
@@ -28,29 +30,24 @@ from .datapipe import (
     save_image,
 )
 from .diffcore.gradcheck import OP_CASES, run_registry
-from .metrics import KNOWN_METRICS
-from .trainer import (
-    CheckpointError,
-    TrainConfig,
-    desk_config,
-    enhance_records,
-    evaluate,
-    load_generator,
-    train,
-)
+from .metrics import KNOWN_METRICS, checked_metric_names
+from .trainer import TrainConfig, desk_config, enhancer, evaluate, train
 from .util import worker_count
 
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".png")
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """Bad flags or a bad config document: exit 2."""
 
 
-def _fail_runtime(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+@contextlib.contextmanager
+def _usage():
+    """A ``ValueError`` raised in the block is a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -102,27 +99,25 @@ def _train_config_from(doc: dict, args) -> TrainConfig:
 
 
 def cmd_generate_data(args) -> int:
-    try:
+    with _usage():
         doc = _load_config_doc(args.config)
         degrade_doc = doc.pop("degrade", {})
         if doc:
             # shared config files may carry training keys; still validate them
             _merge_train_doc(doc, desk=False)
         params = degrade_params_from(degrade_doc, args.preset)
-        if args.count <= 0:
-            raise ValueError(f"--count must be positive, got {args.count}")
-        if args.size < 8:
-            raise ValueError(f"--size must be >= 8, got {args.size}")
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    if args.count <= 0:
+        raise _UsageError(f"--count must be positive, got {args.count}")
+    if args.size < 8:
+        raise _UsageError(f"--size must be >= 8, got {args.size}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     try:
         manifest = generate_synthetic_dataset(
             args.count, args.size, params, seed=args.seed, out_root=args.out
         )
     except OSError as exc:
-        return _fail_runtime(f"cannot write dataset: {exc}")
+        raise OSError(f"cannot write dataset: {exc}") from exc
     n_train = len(manifest.splits["train"])
     n_test = len(manifest.splits["test"])
     print(
@@ -133,19 +128,13 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
+    with _usage():
         doc = _load_config_doc(args.config)
         # generate-data's section is legal in a shared file, and checked as there
         degrade_params_from(doc.pop("degrade", {}))
         config = _train_config_from(doc, args)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    try:
-        manifest = load_manifest(args.data)
-        bundle, log_path = train(manifest, config, args.out, resume_from=args.resume)
-    except (OSError, LayoutError, ParseError, CheckpointError, ValueError,
-            FloatingPointError) as exc:
-        return _fail_runtime(str(exc))
+    manifest = load_manifest(args.data)
+    bundle, log_path = train(manifest, config, args.out, resume_from=args.resume)
     print(f"trained {bundle.state['global_step']} steps; log at {log_path}")
     print(f"final checkpoint: {Path(args.out) / 'ckpt_final.satt'}")
     return 0
@@ -165,108 +154,80 @@ def _iter_input_images(path: Path) -> List[Path]:
 
 
 def cmd_enhance(args) -> int:
-    try:
-        if args.checkpoint == "identity":
-            enhance = lambda recs: recs
-        else:
-            gen = load_generator(args.checkpoint)
-            enhance = lambda recs: enhance_records(gen, recs)
-        in_path = Path(getattr(args, "in"))
-        inputs = _iter_input_images(in_path)
-        out = Path(args.out)
-        if in_path.is_dir():
-            out.mkdir(parents=True, exist_ok=True)
-            targets = [out / p.name for p in inputs]
-        else:
-            if out.parent != Path(""):
-                out.parent.mkdir(parents=True, exist_ok=True)
-            targets = [out]
-        # each record is named by its path, so a shape error names the file
-        records = (dataclasses.replace(load_image(src), id=str(src)) for src in inputs)
-        for rec, dst in zip(enhance(records), targets):
-            save_image(rec, dst)
-    except (OSError, ValueError, CheckpointError) as exc:
-        return _fail_runtime(str(exc))
+    enhance = enhancer(args.checkpoint)
+    in_path = Path(getattr(args, "in"))
+    inputs = _iter_input_images(in_path)
+    out = Path(args.out)
+    if in_path.is_dir():
+        out.mkdir(parents=True, exist_ok=True)
+        targets = [out / p.name for p in inputs]
+    else:
+        if out.parent != Path(""):
+            out.parent.mkdir(parents=True, exist_ok=True)
+        targets = [out]
+    # each record is named by its path, so a shape error names the file
+    records = (dataclasses.replace(load_image(src), id=str(src)) for src in inputs)
+    for rec, dst in zip(enhance(records), targets):
+        save_image(rec, dst)
     print(f"enhanced {len(inputs)} image(s) -> {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    metric_names = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-    unknown = [m for m in metric_names if m not in KNOWN_METRICS]
-    if unknown or not metric_names:
-        return _fail_usage(
-            f"unknown metrics {unknown or '(none given)'}; known: {', '.join(KNOWN_METRICS)}"
+    with _usage():
+        metric_names = checked_metric_names(
+            m.strip() for m in args.metrics.split(",") if m.strip()
         )
-    repeated = sorted({m for m in metric_names if metric_names.count(m) > 1})
-    if repeated:
-        return _fail_usage(f"metrics named more than once: {', '.join(repeated)}")
-    try:
-        manifest = load_manifest(args.data)
-        if args.split not in manifest.splits:
-            return _fail_usage(
-                f"unknown split {args.split!r}; manifest has {sorted(manifest.splits)}"
-            )
-        if not manifest.splits[args.split]:
-            return _fail_usage(f"split {args.split!r} is empty")
-    except (LayoutError, OSError) as exc:
-        return _fail_runtime(str(exc))
+    manifest = load_manifest(args.data)
+    if args.split not in manifest.splits:
+        raise _UsageError(
+            f"unknown split {args.split!r}; manifest has {sorted(manifest.splits)}"
+        )
+    if not manifest.splits[args.split]:
+        raise _UsageError(f"split {args.split!r} is empty")
     # fail before minutes of scoring, not after
     if args.csv and not Path(args.csv).parent.is_dir():
-        return _fail_runtime(f"cannot write CSV: no directory {Path(args.csv).parent}")
-    try:
-        result = evaluate(
-            args.checkpoint, manifest, split=args.split, metric_names=metric_names
-        )
-    except (OSError, ValueError, CheckpointError, ParseError) as exc:
-        return _fail_runtime(str(exc))
+        raise FileNotFoundError(f"cannot write CSV: no directory {Path(args.csv).parent}")
+    result = evaluate(args.checkpoint, manifest, split=args.split, metric_names=metric_names)
     print(result.to_text())
     if args.csv:
         try:
             Path(args.csv).write_text(result.model.to_csv())
         except OSError as exc:
-            return _fail_runtime(f"cannot write CSV: {exc}")
+            raise OSError(f"cannot write CSV: {exc}") from exc
         print(f"per-image CSV -> {args.csv}")
     return 0
 
 
 def cmd_mask_preview(args) -> int:
-    try:
-        image = load_image(args.image)
-        depth = load_depth(args.depth)
-    except (OSError, ParseError) as exc:
-        return _fail_runtime(str(exc))
+    image = load_image(args.image)
+    depth = load_depth(args.depth)
     if depth.shape != image.pixels.shape[1:]:
-        return _fail_usage(
+        raise _UsageError(
             f"depth dims {depth.shape} do not match image {image.pixels.shape[1:]}"
         )
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        # integer partition: fg + bg reassembles the input pixel-exactly
-        # (depth <= 1 so floor(I*D + 0.5) <= I and the difference never wraps)
-        fg = np.floor(image.pixels.astype(np.float64) * depth + 0.5).astype(np.int16)
-        bg = image.pixels.astype(np.int16) - fg
-        save_image(ImageRecord(id="foreground", pixels=fg.astype(np.uint8)),
-                   out / "foreground.ppm")
-        save_image(ImageRecord(id="background", pixels=bg.astype(np.uint8)),
-                   out / "background.ppm")
-    except OSError as exc:
-        return _fail_runtime(str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+    # integer partition: fg + bg reassembles the input pixel-exactly
+    # (depth <= 1 so floor(I*D + 0.5) <= I and the difference never wraps)
+    fg = np.floor(image.pixels.astype(np.float64) * depth + 0.5).astype(np.int16)
+    bg = image.pixels.astype(np.int16) - fg
+    save_image(ImageRecord(id="foreground", pixels=fg.astype(np.uint8)), out / "foreground.ppm")
+    save_image(ImageRecord(id="background", pixels=bg.astype(np.uint8)), out / "background.ppm")
     print(f"wrote {out / 'foreground.ppm'} and {out / 'background.ppm'}")
     return 0
 
 
 def cmd_grad_check(args) -> int:
     if args.seed < 0:
-        return _fail_usage(f"--seed must be >= 0, got {args.seed}")
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.ops == "all":
         only = None
     else:
         only = [o.strip() for o in args.ops.split(",") if o.strip()]
         unknown = [o for o in only if o not in OP_CASES]
         if unknown or not only:
-            return _fail_usage(
+            raise _UsageError(
                 f"unknown op(s) {unknown or '(none given)'}; known: {', '.join(sorted(OP_CASES))}"
             )
     seeds = [args.seed + k for k in range(5)]
@@ -349,10 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        worker_count()
-    except ValueError as exc:
-        return _fail_usage(str(exc))
-    return args.func(args)
+        with _usage():
+            worker_count()
+        return args.func(args)
+    except _UsageError as exc:
+        message, code = str(exc), 2
+    except (OSError, ValueError, FloatingPointError) as exc:
+        message, code = str(exc), 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

@@ -40,6 +40,7 @@ __all__ = [
     "uiqm",
     "MetricsReport",
     "batch_report",
+    "checked_metric_names",
     "KNOWN_METRICS",
 ]
 
@@ -321,6 +322,21 @@ def _score_one(
     return row
 
 
+def checked_metric_names(names: Iterable[str]) -> Tuple[str, ...]:
+    """``names`` as a tuple; a ValueError if there are none, or one is unknown or repeated."""
+    names = tuple(names)
+    known = ", ".join(KNOWN_METRICS)
+    if not names:
+        raise ValueError(f"no metrics given; known: {known}")
+    unknown = [m for m in names if m not in KNOWN_METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; known: {known}")
+    repeated = sorted({m for m in names if names.count(m) > 1})
+    if repeated:
+        raise ValueError(f"metrics named more than once: {', '.join(repeated)}")
+    return names
+
+
 def batch_report(
     items: Iterable[Tuple[str, Optional[np.ndarray], np.ndarray]],
     metrics: Sequence[str] = KNOWN_METRICS,
@@ -331,15 +347,7 @@ def batch_report(
     no-reference, while PSNR and SSIM refuse a missing reference with
     ``MetricInputError``.
     """
-    metrics = tuple(metrics)
-    unknown = [m for m in metrics if m not in KNOWN_METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}; known: {list(KNOWN_METRICS)}")
-    if not metrics:
-        raise ValueError("no metrics requested")
-    repeated = sorted({m for m in metrics if metrics.count(m) > 1})
-    if repeated:
-        raise ValueError(f"metrics named more than once: {repeated}")
+    metrics = checked_metric_names(metrics)
     items = list(items)
     # aggregates must not depend on arrival order
     items.sort(key=lambda it: it[0])

@@ -20,10 +20,11 @@ import sys
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -596,6 +597,15 @@ def train(
     """
     config.validate()
     pairs = _load_train_pairs(manifest, config)  # bad data fails before any write
+    n = len(pairs)
+    smallest_batch = n % config.batch_size or config.batch_size
+    side = config.image_size >> max(config.generator.depth, config.discriminator.num_layers)
+    if smallest_batch * side * side < 2:
+        raise ValueError(
+            f"batch_size {config.batch_size} over {n} training pairs leaves a batch of "
+            f"{smallest_batch}; the innermost norm stage is {side}x{side}, and batch norm "
+            "needs more than one value per channel"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.csv"
@@ -625,7 +635,6 @@ def train(
             bundle_from_live(models, optims, config, 0, 0), out_dir / "ckpt_init.satt"
         )
 
-    n = len(pairs)
     steps_per_epoch = -(-n // config.batch_size)
 
     with log_path.open("a") as log:
@@ -693,6 +702,19 @@ def enhance_record(gen: Generator, rec: ImageRecord) -> ImageRecord:
     return out
 
 
+def enhancer(
+    checkpoint: Union[str, Path, CheckpointBundle],
+) -> Callable[[Iterable[ImageRecord]], Iterable[ImageRecord]]:
+    """Records -> enhanced records, for a checkpoint path or a loaded bundle.
+
+    The string ``identity`` passes records through untouched: the Input
+    baseline as a pseudo-model.
+    """
+    if checkpoint == "identity":
+        return lambda records: records
+    return partial(enhance_records, load_generator(checkpoint))
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """Model scores plus the untouched-input baseline over the same split."""
@@ -717,20 +739,14 @@ def evaluate(
 ) -> EvalResult:
     """Score generator outputs against clean targets on a manifest split.
 
-    ``checkpoint`` may be a path, a loaded bundle, or the string ``identity``
-    (passes inputs through untouched — the Input baseline as a pseudo-model).
+    ``checkpoint`` is anything ``enhancer`` takes, ``identity`` included.
     """
     ids = manifest.ids(split)
     if not ids:
         raise ValueError(f"split {split!r} is empty")
     _warn_depth_fallback(manifest, ids)
 
-    if isinstance(checkpoint, str) and checkpoint == "identity":
-        enhance = lambda recs: recs
-    else:
-        gen = load_generator(checkpoint)
-        enhance = lambda recs: enhance_records(gen, recs)
-
+    enhance = enhancer(checkpoint)
     # depth plays no part in scoring: only the two images are read
     distorted = [load_image(manifest.path(i, "distorted")) for i in ids]
     clean = [load_image(manifest.path(i, "clean")).pixels for i in ids]

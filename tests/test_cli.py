@@ -1,4 +1,5 @@
 """Command-line contract: exit codes, determinism, file outputs."""
+import ast
 import hashlib
 import importlib.util
 import json
@@ -481,6 +482,12 @@ class TestEval:
         assert "more than once: psnr" in capsys.readouterr().err
         assert not csv.exists()
 
+    @pytest.mark.parametrize("metrics_arg", [",", ""])
+    def test_empty_metric_list_is_usage_error(self, dataset, capsys, metrics_arg):
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),
+                       "--metrics", metrics_arg) == 2
+        assert capsys.readouterr().err.startswith("error: no metrics given")
+
     def test_unknown_split_is_usage_error(self, dataset):
         assert run_cli("eval", "--checkpoint", "identity", "--data", str(dataset),
                        "--split", "holdout") == 2
@@ -624,8 +631,11 @@ class TestBadInvocation:
             (lambda doc: doc["splits"].update(train=[]), {}),
             (lambda doc: None, {"image_size": 32}),
             (lambda doc: doc["files"][doc["splits"]["train"][0]].update(clean=5), {}),
+            # 9 pairs at batch 2 end in a batch of one, and 16 px halved 4 times is 1x1
+            (lambda doc: None, {"generator": {"depth": 4, "base_channels": 4, "max_channels": 8}}),
         ],
-        ids=["no-train-split", "empty-train-split", "wrong-image-size", "non-string-path"],
+        ids=["no-train-split", "empty-train-split", "wrong-image-size", "non-string-path",
+             "single-value-norm-stage"],
     )
     def test_bad_training_data_writes_nothing(self, dataset, tmp_path, capsys, edit, overrides):
         data = _dataset_with_manifest(dataset, tmp_path / "d", edit)
@@ -670,3 +680,51 @@ class TestBadInvocation:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "g").exists()
+
+
+#: per command: how to make the library call it makes raise, and its arguments
+_INJECT = {
+    "generate-data": (lambda mp, f: mp.setattr(cli, "generate_synthetic_dataset", f),
+                      ["--count", "2", "--size", "16", "--out", "{tmp}/g"]),
+    "train": (lambda mp, f: mp.setattr(cli, "train", f),
+              ["--config", "{cfg}", "--data", "{data}", "--out", "{tmp}/r"]),
+    "enhance": (lambda mp, f: mp.setattr(cli, "save_image", f),
+                ["--checkpoint", "identity", "--in", "{data}/distorted", "--out", "{tmp}/e"]),
+    "eval": (lambda mp, f: mp.setattr(cli, "evaluate", f),
+             ["--checkpoint", "identity", "--data", "{data}"]),
+    "mask-preview": (lambda mp, f: mp.setattr(cli, "load_depth", f),
+                     ["--image", "{data}/clean/00000.ppm", "--depth", "{data}/depth/00000.pgm",
+                      "--out", "{tmp}/m"]),
+    # a registry case that raises while it builds its inputs
+    "grad-check": (lambda mp, f: mp.setitem(OP_CASES, "raises", f), ["--ops", "raises"]),
+}
+
+
+class TestFailurePolicy:
+    """``main`` alone turns a command's failure into its exit code and one line."""
+
+    @pytest.mark.parametrize("exc_type", [OSError, ValueError, FloatingPointError])
+    @pytest.mark.parametrize("command", sorted(_INJECT))
+    def test_library_failure_is_one_line_exit_1(self, dataset, config_file, tmp_path, capsys,
+                                                monkeypatch, command, exc_type):
+        def fail(*args, **kwargs):
+            raise exc_type("injected failure")
+
+        inject, argv = _INJECT[command]
+        inject(monkeypatch, fail)
+        argv = [a.format(tmp=tmp_path, data=dataset, cfg=config_file) for a in argv]
+        assert run_cli(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "injected failure" in err and "Traceback" not in err
+
+    def test_only_main_prints_errors(self):
+        """No handler in a command reports or swallows: each one re-raises."""
+        source = Path(cli.__file__).read_text()
+        functions = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)]
+        printers = [f.name for f in functions if "error:" in ast.get_source_segment(source, f)]
+        assert printers == ["main"]
+        for f in functions:
+            if f.name.startswith("cmd_"):
+                for handler in (n for n in ast.walk(f) if isinstance(n, ast.ExceptHandler)):
+                    assert isinstance(handler.body[-1], ast.Raise), f"{f.name}:{handler.lineno}"

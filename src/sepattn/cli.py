@@ -103,8 +103,8 @@ def cmd_generate_data(args) -> int:
         doc = _load_config_doc(args.config)
         degrade_doc = doc.pop("degrade", {})
         if doc:
-            # shared config files may carry training keys; still validate them
-            _merge_train_doc(doc, desk=False)
+            # shared config files may carry training keys; check them as train does
+            _merge_train_doc(doc, desk=False).validate()
         params = degrade_params_from(degrade_doc, args.preset)
     if args.count <= 0:
         raise _UsageError(f"--count must be positive, got {args.count}")

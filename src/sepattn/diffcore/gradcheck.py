@@ -170,9 +170,23 @@ def _case_conv2d_s1(rng):
     return (lambda x, w: ops.conv2d(x, w, None, stride=1, padding=0)), [x, w]
 
 
+def _case_conv2d_k3(rng):
+    # the discriminator's geometry: input-gradient phases sum 1, 2 or 4 taps
+    x = _rand(rng, 2, 3, 6, 6)
+    w = _rand(rng, 4, 3, 3, 3, lo=-0.5, hi=0.5)
+    return (lambda x, w: ops.conv2d(x, w, None, stride=2, padding=1)), [x, w]
+
+
 def _case_conv_transpose2d(rng):
     y = _rand(rng, 2, 4, 3, 3)
     w = _rand(rng, 4, 3, 4, 4, lo=-0.5, hi=0.5)
+    return (lambda y, w: ops.conv_transpose2d(y, w, stride=2, padding=1)), [y, w]
+
+
+def _case_conv_transpose2d_odd(rng):
+    # a 5x7 output: its output phases differ in size
+    y = _rand(rng, 2, 4, 3, 4)
+    w = _rand(rng, 4, 3, 3, 3, lo=-0.5, hi=0.5)
     return (lambda y, w: ops.conv_transpose2d(y, w, stride=2, padding=1)), [y, w]
 
 
@@ -284,7 +298,9 @@ def _case_composite(rng):
 OP_CASES: Dict[str, Callable] = {
     "conv2d": _case_conv2d,
     "conv2d_s1": _case_conv2d_s1,
+    "conv2d_k3": _case_conv2d_k3,
     "conv_transpose2d": _case_conv_transpose2d,
+    "conv_transpose2d_odd": _case_conv_transpose2d_odd,
     "batch_norm_leaky_train": _case_batch_norm_leaky_train,
     "batch_norm_leaky_eval": _case_batch_norm_leaky_eval,
     "tanh": _case_tanh,

@@ -24,8 +24,13 @@ pre-activation's sign (never from the output, which is -0.0 for a tiny negative
 pre-activation). The rebuilt arrays are byte-equal to the forward's, so
 gradients are unchanged.
 
-``_col2im`` returns a C-contiguous, unpadded array, so every
-``conv_transpose2d`` output and every ``conv2d`` input gradient is one too.
+``_col2im`` builds every ``conv_transpose2d`` output and every ``conv2d``
+input gradient, C-contiguous and unpadded. It sums one output phase (row and
+column mod stride) at a time in a flat plane, one whole-array 1-D add per
+kernel tap. The entries of a tap whose target lies outside the output are
+zeroed first and add +0.0, an exact no-op on a plane that starts at +0.0
+(such a plane never holds -0.0). Each pixel gets its taps in (i, j) order, as
+in a scatter into the padded image, so the bytes are the same.
 """
 from __future__ import annotations
 
@@ -106,6 +111,19 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return patches.reshape(n, c * kh * kw, oh * ow)
 
 
+def _phase_taps(k: int, stride: int, padding: int) -> list:
+    """For each output phase r < stride, its taps t in order with their shift d.
+
+    Tap t lands d rows (or columns) from the block's own position in phase r,
+    where t - padding = d * stride + r.
+    """
+    taps = [[] for _ in range(stride)]
+    for t in range(k):
+        d, r = divmod(t - padding, stride)
+        taps[r].append((t, d))
+    return taps
+
+
 def _col2im(
     cols: np.ndarray,
     n: int,
@@ -121,31 +139,52 @@ def _col2im(
 ) -> np.ndarray:
     """Scatter-add inverse of :func:`_im2col`; returns a C-contiguous (N, C, H, W).
 
-    Each phase of the padded image (row mod stride, column mod stride) sums in
-    its own zeroed plane, where every tap adds one contiguous block. Taps are
-    added in (i, j) order starting from +0.0, so each pixel sees the same adds
-    as a scatter into the padded image, and the bytes are the same.
+    Sums one output phase (row mod stride, column mod stride) at a time in a
+    flat zeroed plane of (N, C, bh, bw) images. Tap (i, j) feeds one phase,
+    shifted there by (di, dj) rows and columns. Its (N, C, oh, ow) block is
+    copied into a reused buffer of the plane's layout, the rows and columns
+    whose target falls outside the output are zeroed, and the buffer goes into
+    the plane with one 1-D slice add at offset di * bw + dj. The zeroed
+    entries land across a row or image edge, or in the plane's slack, and add
+    +0.0: a plane starts at +0.0 and a float sum is -0.0 only when both
+    operands are, so it never holds -0.0, and adding +0.0 leaves every other
+    value (NaN and +-inf included) as it is. Each pixel thus gets its taps in
+    (i, j) order starting from +0.0, the adds of a scatter into the zeroed
+    padded image, and the same bytes. ``cols`` is not written.
     """
     s = stride
-    hp, wp = h + 2 * padding, w + 2 * padding
-    planes = {
-        (pi, pj): np.zeros((n, c, -(-(hp - pi) // s), -(-(wp - pj) // s)), dtype=cols.dtype)
-        for pi in range(s)
-        for pj in range(s)
-    }
+    bh, bw = max(oh, -(-h // s)), max(ow, -(-w // s))  # room for a tap's block and for any phase
+    row_taps, col_taps = _phase_taps(kh, s, padding), _phase_taps(kw, s, padding)
+    slack = max(abs(d) for taps in row_taps for _, d in taps) * bw
+    slack += max(abs(d) for taps in col_taps for _, d in taps)
+    size = n * c * bh * bw
     cols6 = cols.reshape(n, c, kh, kw, oh, ow)
-    for i in range(kh):
-        for j in range(kw):
-            ti, tj = i // s, j // s
-            planes[i % s, j % s][:, :, ti : ti + oh, tj : tj + ow] += cols6[:, :, i, j]
-    if s == 1 and not padding:
-        return planes[0, 0]
+    buf = np.zeros((n, c, bh, bw), dtype=cols.dtype)
+    flat_buf = buf.reshape(-1)
+    plane = np.empty(size + 2 * slack, dtype=cols.dtype)
+    phase = plane[slack : slack + size].reshape(n, c, bh, bw)
     out = np.empty((n, c, h, w), dtype=cols.dtype)
-    for (pi, pj), plane in planes.items():
-        r0, c0 = (pi - padding) % s, (pj - padding) % s  # first output row/column of the phase
-        dst = out[:, :, r0::s, c0::s]
-        t0, u0 = (r0 + padding) // s, (c0 + padding) // s
-        dst[...] = plane[:, :, t0 : t0 + dst.shape[2], u0 : u0 + dst.shape[3]]
+    for ry in range(s):
+        hr = len(range(ry, h, s))
+        for rx in range(s):
+            wr = len(range(rx, w, s))
+            plane.fill(0)
+            for i, di in row_taps[ry]:
+                top, bottom = max(0, -di), max(0, hr - di)  # block rows landing in the phase
+                for j, dj in col_taps[rx]:
+                    left, right = max(0, -dj), max(0, wr - dj)
+                    buf[:, :, :oh, :ow] = cols6[:, :, i, j]
+                    if top:
+                        buf[:, :, :top] = 0
+                    if bottom < oh:
+                        buf[:, :, bottom:oh] = 0
+                    if left:
+                        buf[:, :, :, :left] = 0
+                    if right < ow:
+                        buf[:, :, :, right:ow] = 0
+                    at = slack + di * bw + dj
+                    plane[at : at + size] += flat_buf
+            out[:, :, ry::s, rx::s] = phase[:, :, :hr, :wr]
     return out
 
 

@@ -126,6 +126,15 @@ class TestGenerateData:
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "d").exists()
 
+    def test_training_keys_train_refuses_are_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"batch_size": 0}))
+        assert run_cli("generate-data", "--count", "2", "--size", "16",
+                       "--config", str(cfg), "--out", str(tmp_path / "d")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "batch_size" in err
+        assert not (tmp_path / "d").exists()
+
     def test_degrade_lists_take_ints(self, tmp_path):
         ints, floats = tmp_path / "i.json", tmp_path / "f.json"
         ints.write_text(json.dumps({"degrade": {"backscatter": [20, 120, 140]}}))

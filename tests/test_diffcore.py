@@ -4,6 +4,8 @@ Reference values come from independent scalar-loop implementations written
 here in the test module (double precision, no shared code with the package),
 or from hand arithmetic for the small worked examples.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -454,14 +456,28 @@ class TestBitExactFastPaths:
             want = ref_im2col(xp, k, k, stride, oh, ow)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("batch", [1, 5, 16])
     @pytest.mark.parametrize(
         "c,h,w,k,stride,padding",
         [
-            (4, 16, 16, 4, 2, 1),  # generator stages
-            (6, 16, 16, 3, 2, 1),  # discriminator stages
-            (8, 4, 4, 1, 1, 0),  # discriminator head
+            # generator k4 s2 p1: 8/16/32 -> 16/32/64 at the desk profile's widths
+            (32, 16, 16, 4, 2, 1),
+            (16, 32, 32, 4, 2, 1),
+            (3, 64, 64, 4, 2, 1),
+            # discriminator k3 s2 p1 input gradients: phases sum 1, 2 or 4 taps
+            (32, 16, 16, 3, 2, 1),
+            (16, 32, 32, 3, 2, 1),
+            (6, 64, 64, 3, 2, 1),
+            (64, 8, 8, 1, 1, 0),  # discriminator head
             (3, 11, 13, 3, 2, 1),  # odd sizes
+            (4, 9, 7, 3, 1, 1),  # stride 1 with padding
+            (4, 9, 7, 3, 1, 0),  # stride 1, the output larger than the tap blocks
+            (5, 10, 11, 4, 3, 1),  # stride 3, the last row gets no tap
+            (2, 8, 8, 2, 3, 0),  # stride 3 over a smaller kernel: a phase with no taps
+        ],
+        ids=[
+            "gen-16", "gen-32", "gen-64", "disc-16", "disc-32", "disc-64", "head",
+            "odd", "s1-p1", "s1-p0", "s3", "s3-k2",
         ],
     )
     def test_col2im_matches_tap_loop_bytewise_and_is_contiguous(
@@ -471,11 +487,13 @@ class TestBitExactFastPaths:
         ow = (w + 2 * padding - k) // stride + 1
         cols = awkward(np.random.default_rng(20), (batch, c * k * k, oh * ow))
         cols[cols == 0] = -0.0  # every pixel's sum starts from +0.0, as in the tap loop
+        before = cols.tobytes()
         args = (batch, c, h, w, k, k, stride, padding, oh, ow)
         got = ops._col2im(cols, *args)
         want = ref_col2im(cols, *args)
         assert got.shape == want.shape and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+        assert cols.tobytes() == before
 
     @pytest.mark.parametrize("frozen", ["weight", "bias", "both"])
     def test_conv2d_skips_gradients_of_untracked_operands(self, frozen):
@@ -641,6 +659,19 @@ class TestLeanBackward:
         ops.batch_norm_leaky(t4(x * 3), t4(gamma), t4(beta), lean_stats, training=True)
         want = bn_grads(ref_leaky_relu_grad(pre, g))
         assert_grads_match(out._grad_fn(g), want, tracked)
+
+    def test_col2im_peak_memory_stays_near_its_output(self):
+        # the generator's 16 -> 32 stage on a 16-image eval chunk; a transposed
+        # copy of the patch matrix alone would take 4x the output
+        n, c, h, w, k, oh, ow = 16, 16, 32, 32, 4, 16, 16
+        cols = np.random.default_rng(21).standard_normal((n, c * k * k, oh * ow)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = ops._col2im(cols, n, c, h, w, k, k, 2, 1, oh, ow)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
 
     def test_closures_hold_no_rebuildable_buffers(self):
         models = trainer.build_models(trainer.desk_config())

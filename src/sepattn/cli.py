@@ -15,12 +15,13 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .datapipe import (
     DEGRADE_PRESETS,
+    DegradeParams,
     ImageRecord,
     degrade_params_from,
     generate_synthetic_dataset,
@@ -32,7 +33,7 @@ from .datapipe import (
 from .diffcore.gradcheck import OP_CASES, run_registry
 from .metrics import KNOWN_METRICS, checked_metric_names
 from .trainer import TrainConfig, desk_config, enhancer, evaluate, train
-from .util import worker_count
+from .util import typed_fields, worker_count
 
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".png")
 
@@ -62,36 +63,33 @@ def _load_config_doc(path: Optional[str]) -> dict:
         raise ValueError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"config file {p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"config file {p} must hold a JSON object")
     return doc
 
 
-def _merge_train_doc(doc: dict, desk: bool) -> TrainConfig:
-    """Layer a config-file document over the base profile (file wins)."""
-    base = desk_config() if desk else TrainConfig()
-    merged = base.to_dict()
+def _shared_config(
+    path: Optional[str], preset: str = "default", desk: bool = False, **flags
+) -> Tuple[TrainConfig, DegradeParams]:
+    """The checked parts of a config file that train and generate-data share.
+
+    The ``degrade`` section lies over ``preset``; the other keys lie over the
+    base profile, and the flags that are not None over those. A file's value is
+    type-checked even where a flag replaces it.
+    """
+    doc = _load_config_doc(path)
+    params = degrade_params_from(doc.pop("degrade", {}), preset)
+    merged = (desk_config() if desk else TrainConfig()).to_dict()
     for key, value in doc.items():
         if key in ("generator", "discriminator") and isinstance(value, dict):
             merged[key] = {**merged[key], **value}
         else:
             merged[key] = value
-    return TrainConfig.from_dict(merged)  # rejects unknown keys
-
-
-def _train_config_from(doc: dict, args) -> TrainConfig:
-    config = _merge_train_doc(doc, args.desk)
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    config.validate()
-    return config
+    fields = typed_fields(TrainConfig, merged, "config")  # rejects unknown keys
+    fields.update((k, v) for k, v in flags.items() if v is not None)
+    return TrainConfig(**fields), params
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +98,7 @@ def _train_config_from(doc: dict, args) -> TrainConfig:
 
 def cmd_generate_data(args) -> int:
     with _usage():
-        doc = _load_config_doc(args.config)
-        degrade_doc = doc.pop("degrade", {})
-        if doc:
-            # shared config files may carry training keys; check them as train does
-            _merge_train_doc(doc, desk=False).validate()
-        params = degrade_params_from(degrade_doc, args.preset)
+        _, params = _shared_config(args.config, args.preset)
     if args.count <= 0:
         raise _UsageError(f"--count must be positive, got {args.count}")
     if args.size < 8:
@@ -129,10 +122,7 @@ def cmd_generate_data(args) -> int:
 
 def cmd_train(args) -> int:
     with _usage():
-        doc = _load_config_doc(args.config)
-        # generate-data's section is legal in a shared file, and checked as there
-        degrade_params_from(doc.pop("degrade", {}))
-        config = _train_config_from(doc, args)
+        config, _ = _shared_config(args.config, desk=args.desk, epochs=args.epochs, seed=args.seed)
     manifest = load_manifest(args.data)
     bundle, log_path = train(manifest, config, args.out, resume_from=args.resume)
     print(f"trained {bundle.state['global_step']} steps; log at {log_path}")

@@ -241,6 +241,8 @@ class DegradeParams:
 
     beta orders red >= green >= blue: red light is absorbed fastest with
     distance, which is what gives degraded frames their blue/green cast.
+    Checked when built, by ``replace`` too: a bad value, NaN and the
+    infinities included, is a ValueError naming the field.
     """
 
     beta: Tuple[float, float, float] = (1.8, 0.9, 0.4)
@@ -249,15 +251,15 @@ class DegradeParams:
     noise_sigma: float = 2.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         br, bg, bb = self.beta
-        if not (br >= bg >= bb >= 0.0):
+        if not (math.inf > br >= bg >= bb >= 0.0):
             raise ValueError(f"beta must satisfy red >= green >= blue >= 0, got {self.beta}")
         if any(not (0.0 <= b <= 255.0) for b in self.backscatter):
             raise ValueError(f"backscatter outside [0, 255]: {self.backscatter}")
         if not (0.0 < self.contrast_gain <= 1.0):
             raise ValueError(f"contrast_gain must be in (0, 1], got {self.contrast_gain}")
-        if self.noise_sigma < 0.0:
+        if not (0.0 <= self.noise_sigma < math.inf):
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -276,11 +278,9 @@ def degrade_params_from(doc: dict, preset: str = "default") -> DegradeParams:
     """``preset`` with a config file's ``degrade`` section laid over it.
 
     The section's values are type-checked like the training config's, so a
-    mistyped or unknown key is a ValueError naming it; the result is validated.
+    mistyped or unknown key is a ValueError naming it, and so is a bad value.
     """
-    params = replace(DEGRADE_PRESETS[preset], **typed_fields(DegradeParams, doc, "degrade"))
-    params.validate()
-    return params
+    return replace(DEGRADE_PRESETS[preset], **typed_fields(DegradeParams, doc, "degrade"))
 
 
 def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> ImageRecord:
@@ -291,7 +291,6 @@ def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> Ima
     then per-channel contrast v = mean + gain * (v - mean), then seeded
     Gaussian noise, clipped to [0, 255].
     """
-    params.validate()
     if clean.channels != 3:
         raise ValueError("degrade expects a 3-channel image")
     depth = validate_depth(depth)
@@ -468,7 +467,6 @@ def generate_synthetic_dataset(
         raise ValueError(f"count must be positive, got {count}")
     if image_size < 8:
         raise ValueError(f"image_size must be >= 8, got {image_size}")
-    params.validate()
     root = Path(out_root)
     for sub in ("clean", "distorted", "depth"):
         (root / sub).mkdir(parents=True, exist_ok=True)

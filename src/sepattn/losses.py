@@ -18,6 +18,7 @@ discriminator per domain scores both regions, always on channel-concatenated
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -62,20 +63,22 @@ LOG_FIELDS = (
 
 @dataclass(frozen=True)
 class LossWeights:
-    """cycle_weight scales reconstruction; fg/bg attention mix the regions."""
+    """cycle_weight scales reconstruction; fg/bg attention mix the regions.
+
+    Checked when built: a bad value, NaN and the infinities included, is a ValueError.
+    """
 
     cycle_weight: float = 10.0
     fg_attention: float = 7.0
     bg_attention: float = 3.0
 
-    def validate(self) -> "LossWeights":
-        if self.cycle_weight < 0:
+    def __post_init__(self) -> None:
+        if not (0 <= self.cycle_weight < math.inf):
             raise ValueError(f"cycle_weight must be >= 0, got {self.cycle_weight}")
         lo, hi = ATTENTION_RANGE
         for name, v in (("fg_attention", self.fg_attention), ("bg_attention", self.bg_attention)):
             if not (lo <= v <= hi):
                 raise ValueError(f"{name} = {v} outside the supported range [{lo:g}, {hi:g}]")
-        return self
 
 
 # ---------------------------------------------------------------------------

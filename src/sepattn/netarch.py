@@ -41,6 +41,7 @@ __all__ = [
     "ConfigError",
     "GeneratorConfig",
     "DiscriminatorConfig",
+    "Model",
     "Generator",
     "Discriminator",
 ]

@@ -63,6 +63,7 @@ __all__ = [
     "ENHANCE_CHUNK_PIXELS",
     "enhance_records",
     "enhance_record",
+    "enhancer",
     "evaluate",
     "save_checkpoint",
     "load_checkpoint",
@@ -95,7 +96,11 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Full training recipe; defaults are the full-scale profile."""
+    """Full training recipe; defaults are the full-scale profile.
+
+    Checked when built, by ``replace`` and ``from_dict`` too: a bad value, NaN
+    and the infinities included, is a ValueError naming the field.
+    """
 
     cycle_weight: float = 10.0
     fg_attention: float = 7.0
@@ -113,10 +118,10 @@ class TrainConfig:
     def weights(self) -> LossWeights:
         return LossWeights(self.cycle_weight, self.fg_attention, self.bg_attention)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
+        if not (0 < self.lr < math.inf):
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
@@ -124,7 +129,7 @@ class TrainConfig:
             raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.weights.validate()
+        self.weights  # builds a LossWeights, which checks itself
         self.generator.validate(self.image_size)
         self.discriminator.validate(self.image_size)
 
@@ -167,7 +172,6 @@ def config_hash(config: TrainConfig) -> str:
 
 
 def build_models(config: TrainConfig) -> Dict[str, Model]:
-    config.validate()
     models: Dict[str, Model] = {}
     for name, offset in _MODEL_SEED_OFFSETS.items():
         seed = int(np.random.SeedSequence([config.seed, offset]).generate_state(1)[0])
@@ -467,7 +471,7 @@ def _check_blocks(config, state, path) -> None:
                 f"{path}: {what} block must be a JSON object, got {type(block).__name__}"
             )
     try:
-        TrainConfig.from_dict(config).validate()
+        TrainConfig.from_dict(config)
     except ValueError as exc:
         raise CheckpointError(f"{path}: config block: {exc}") from exc
     is_count = lambda v: type(v) is int and v >= 0
@@ -527,7 +531,6 @@ def load_generator(checkpoint: Union[str, Path, CheckpointBundle]) -> Generator:
     """
     bundle = checkpoint if isinstance(checkpoint, CheckpointBundle) else load_checkpoint(checkpoint)
     config = TrainConfig.from_dict(bundle.config)
-    config.validate()
     gen = Generator(config.generator, config.image_size)
     restore_into(bundle, {"gen_xy": gen}, {})
     for p in gen.params.values():
@@ -595,7 +598,6 @@ def train(
     there. Shuffling is derived from (seed, epoch), so resuming at an epoch
     boundary sees the identical batch order the uninterrupted run would have.
     """
-    config.validate()
     pairs = _load_train_pairs(manifest, config)  # bad data fails before any write
     n = len(pairs)
     smallest_batch = n % config.batch_size or config.batch_size

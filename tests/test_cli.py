@@ -234,6 +234,27 @@ class TestTrain:
         assert run_cli("train", "--config", str(cfg), "--data", str(dataset),
                        "--out", str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize("command", ["train", "generate-data"])
+    def test_non_utf8_config_names_the_file(self, dataset, tmp_path, capsys, command):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        argv = {"train": ["--data", str(dataset)], "generate-data": ["--count", "2"]}[command]
+        assert run_cli(command, "--config", str(cfg), *argv, "--out", str(tmp_path / "r")) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.startswith("error:") and str(cfg) in err
+
+    def test_flags_lie_over_the_config_file(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY_TRAIN, "epochs": -1}))
+        argv = ["train", "--config", str(cfg), "--data", str(dataset)]
+        assert run_cli(*argv, "--out", str(tmp_path / "a")) == 2
+        assert "epochs must be >= 0" in capsys.readouterr().err
+        assert run_cli(*argv, "--out", str(tmp_path / "b"), "--epochs", "1") == 0
+        # a flag replaces a file's value, but does not excuse a mistyped one
+        cfg.write_text(json.dumps({**TINY_TRAIN, "epochs": "x"}))
+        assert run_cli(*argv, "--out", str(tmp_path / "c"), "--epochs", "1") == 2
+        assert "'epochs' must be int" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "edit, match",
         [

@@ -1,6 +1,7 @@
 """I/O round-trips, degradation model math, and dataset generation."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -221,13 +222,31 @@ class TestDegrade:
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="red >= green >= blue"):
-            DegradeParams(beta=(0.4, 0.9, 1.8)).validate()
+            DegradeParams(beta=(0.4, 0.9, 1.8))
         with pytest.raises(ValueError, match="contrast_gain"):
-            DegradeParams(contrast_gain=0.0).validate()
+            DegradeParams(contrast_gain=0.0)
         with pytest.raises(ValueError, match="noise_sigma"):
-            DegradeParams(noise_sigma=-1.0).validate()
+            DegradeParams(noise_sigma=-1.0)
         with pytest.raises(ValueError, match="backscatter"):
-            DegradeParams(backscatter=(300.0, 0.0, 0.0)).validate()
+            DegradeParams(backscatter=(300.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="seed"):
+            replace(DegradeParams(), seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_sigma", math.nan),
+            ("noise_sigma", math.inf),
+            ("contrast_gain", math.nan),
+            ("beta", (math.inf, 0.9, 0.4)),
+            ("beta", (1.8, math.nan, 0.4)),
+            ("backscatter", (math.nan, 120.0, 140.0)),
+        ],
+    )
+    def test_non_finite_params_rejected(self, field, value):
+        # NaN noise once rendered no noise at all: nan > 0 is false
+        with pytest.raises(ValueError, match=field):
+            DegradeParams(**{field: value})
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):

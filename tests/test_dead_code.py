@@ -8,6 +8,8 @@ UPPER_CASE constant must be loaded from its own module: by name inside that
 module, or imported or read as an attribute from it elsewhere, so a second copy
 of a value that lives in another module is flagged too. And every name a
 module's ``__all__`` lists exists: the benchmark's tracer looks each one up.
+What the package imports from one of its own modules is listed in that
+module's ``__all__``, so ``__all__`` is the module's whole public surface.
 """
 import ast
 import importlib
@@ -115,3 +117,25 @@ def test_every_all_entry_exists():
         names = getattr(module, "__all__", ())
         missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
     assert missing == []
+
+
+def test_package_imports_only_what_all_lists():
+    """Each ``from .X import name`` inside the package names an entry of X's ``__all__``."""
+    unlisted = []
+    for path, tree in _trees(ROOT / "src" / "sepattn"):
+        module = _module(path, ROOT)
+        package = module.split(".") if path.name == "__init__.py" else module.split(".")[:-1]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            base = package[: len(package) - node.level + 1]
+            source = importlib.import_module(".".join([*base, *filter(None, [node.module])]))
+            listed = getattr(source, "__all__", None)
+            if listed is None:
+                continue
+            unlisted += [
+                f"{path.relative_to(ROOT)}:{node.lineno} {source.__name__}.{a.name}"
+                for a in node.names
+                if a.name not in listed
+            ]
+    assert unlisted == []

@@ -1,4 +1,6 @@
 """Loss algebra: worked scalar examples, report consistency, gradient structure."""
+import math
+
 import numpy as np
 import pytest
 
@@ -83,16 +85,21 @@ class TestAttentionObjective:
 
 class TestLossWeights:
     def test_defaults_valid(self):
-        LossWeights().validate()
+        LossWeights()
 
-    @pytest.mark.parametrize("mu", [0.5, 11.0, 0.0])
+    @pytest.mark.parametrize("mu", [0.5, 11.0, 0.0, math.nan])
     def test_out_of_range_attention_rejected(self, mu):
         with pytest.raises(ValueError, match="fg_attention"):
-            LossWeights(fg_attention=mu).validate()
+            LossWeights(fg_attention=mu)
 
     def test_negative_cycle_weight_rejected(self):
         with pytest.raises(ValueError, match="cycle_weight"):
-            LossWeights(cycle_weight=-1.0).validate()
+            LossWeights(cycle_weight=-1.0)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_cycle_weight_rejected(self, lam):
+        with pytest.raises(ValueError, match="cycle_weight"):
+            LossWeights(cycle_weight=lam)
 
 
 class TestFullGeneratorLoss:

@@ -1,5 +1,6 @@
 """Training loop behavior: stepping, partition, determinism, checkpoints."""
 import hashlib
+import math
 import re
 import zlib
 from dataclasses import replace
@@ -97,7 +98,6 @@ class TestConfig:
         assert cfg.lr == 2e-4
         assert cfg.epochs == 100
         assert cfg.image_size == 256
-        cfg.validate()
 
     def test_desk_profile(self):
         cfg = desk_config()
@@ -107,15 +107,28 @@ class TestConfig:
         assert cfg.generator.base_channels == 16
         assert cfg.discriminator.num_layers == 3
         assert cfg.seed == 7
-        cfg.validate()
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="batch_size"):
-            tiny_config(batch_size=0).validate()
+            tiny_config(batch_size=0)
         with pytest.raises(ValueError, match="lr"):
-            tiny_config(lr=0.0).validate()
+            tiny_config(lr=0.0)
         with pytest.raises(ValueError, match="fg_attention"):
-            tiny_config(fg_attention=0.5).validate()
+            tiny_config(fg_attention=0.5)
+
+    def test_every_construction_checks(self):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            replace(desk_config(), lr=0.0)
+        with pytest.raises(ValueError, match="epochs must be >= 0"):
+            TrainConfig.from_dict({"epochs": -1})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lr", math.nan), ("lr", math.inf), ("cycle_weight", math.nan), ("fg_attention", math.nan)],
+    )
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
 
     def test_dict_round_trip(self):
         cfg = tiny_config()

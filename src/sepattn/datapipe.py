@@ -21,7 +21,7 @@ import numpy as np
 
 from .attnmask import validate_depth
 from .diffcore import Tensor4
-from .util import map_units, typed_fields
+from .util import check_int_fields, map_units, typed_fields
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 _WSPACE = b" \t\r\n"
@@ -252,6 +252,7 @@ class DegradeParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         br, bg, bb = self.beta
         if not (math.inf > br >= bg >= bb >= 0.0):
             raise ValueError(f"beta must satisfy red >= green >= blue >= 0, got {self.beta}")

@@ -1,22 +1,34 @@
 """Image quality metrics over 8-bit images: PSNR, SSIM, UIQM.
 
-All arithmetic runs in float64. Inputs are uint8 arrays shaped (H, W) for
-grayscale or (3, H, W) for color; color collapses to ITU-R 601 luma
-(0.299 R + 0.587 G + 0.114 B, kept as floats) where a metric is defined on
-intensity.
+Inputs are uint8 arrays shaped (H, W) for grayscale or (3, H, W) for color;
+color collapses to ITU-R 601 luma (0.299 R + 0.587 G + 0.114 B, kept as
+floats) where a metric is defined on intensity. Every score is a float64, with
+the bytes of the plain float64 form (np.hypot for the Sobel magnitude, a
+stable sort for the trimmed mean); the tests hold a copy of that form.
 
 UIQM is the weighted sum of a colorfulness term (UICM, asymmetric
 alpha-trimmed chroma statistics), a sharpness term (UISM, Sobel-edge contrast
 per channel), and a contrast term (UIConM, log-entropy of block contrast).
 Block terms that would divide by zero or take log of zero contribute zero.
 
-UIQM takes shortcuts that are exact only because inputs are 8-bit: Sobel
-runs in int16 (integers within +-1020), and the trimmed mean sums partitioned
-rather than sorted chroma values (exact multiples of 0.5, so no partial sum
-rounds). The Sobel magnitude is the correctly rounded sqrt(gx² + gy²) (the sum
-of squares is an exact integer) plus a per-pair correction to np.hypot's
-rounding, read from a table built once from np.hypot itself. Each step yields
-the same float64 bytes as the plain float64 form with np.hypot.
+Where the values are integers, the work runs in integers, exact because the
+inputs are 8-bit:
+
+* PSNR sums squared differences (each <= 255²) in int64. The float64 mean
+  summed the same exact integers while the total stays below 2⁵³, which holds
+  up to about 1.4·10¹¹ pixels (2⁵³ / 255²).
+* UISM pads the channels into one int16 buffer and runs Sobel in int16
+  (|gx|, |gy| <= 4·255 = 1020). The magnitude squared, at most 2·1020², and
+  the ulp-table index |gx|·1021 + |gy|, at most 1020·1021 + 1020, are int32.
+  np.sqrt of the exact sum of squares is correctly rounded, and a per-pair
+  correction to np.hypot's rounding, read from a table built once from
+  np.hypot itself, gives np.hypot's bytes.
+* UICM keeps its opponent planes in int16: R - G, and twice YB as
+  R + G - 2B. The trimmed mean counts the values (np.bincount) rather than
+  sorting them and sums the kept ones in int64, exact in any order; halving
+  that sum is exact in float64.
+* The 8x8 block maxima and minima of UISM and UIConM reduce the int64 bit
+  patterns of their values, which are all >= +0.0 and so order as the floats.
 """
 from __future__ import annotations
 
@@ -111,8 +123,9 @@ def psnr(reference: np.ndarray, candidate: np.ndarray) -> float:
     Identical images have infinite ratio; that is reported as the 99 dB cap.
     """
     a, b = _check_pair(reference, candidate)
-    diff = a.astype(np.float64) - b.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    sq = a.astype(np.int32) - b
+    sq *= sq
+    mse = int(sq.sum(dtype=np.int64)) / a.size
     if mse == 0.0:
         return PSNR_CAP_DB
     return float(10.0 * np.log10(PEAK * PEAK / mse))
@@ -153,13 +166,14 @@ def _require_color(img: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _trimmed_mean(values: np.ndarray) -> float:
-    """Asymmetric alpha-trimmed mean: drop ceil(aK) low and floor(aK) high.
+def _trimmed_mean(values: np.ndarray, scale: int = 1) -> float:
+    """Asymmetric alpha-trimmed mean of ``values / scale``: drop ceil(aK) low and floor(aK) high.
 
-    A partition at the two cut ranks gathers the kept values without a full
-    sort, in some order. The values are chroma differences of 8-bit channels,
-    multiples of 0.5 within +-255, so every partial sum is exact in float64
-    and the kept sum does not depend on the order of its terms.
+    ``values`` are integers, counted rather than sorted: the r smallest sum to
+    every value below the bin holding rank r, plus that bin's value once for
+    each rank it still gives. The int64 sums are exact, so the kept sum does
+    not depend on the order of ``values``, and dividing it by ``scale`` (1 or
+    2) is exact in float64.
     """
     k = values.size
     t_lo = int(np.ceil(_TRIM_ALPHA * k))
@@ -167,36 +181,59 @@ def _trimmed_mean(values: np.ndarray) -> float:
     kept = k - t_lo - t_hi
     if kept <= 0:
         return 0.0
-    s = np.partition(values, (t_lo, k - t_hi - 1))
-    return float(s[t_lo : k - t_hi].sum() / kept)
+    low = int(values.min())
+    counts = np.bincount(values - low)
+    ranks = counts.cumsum()  # how many values are <= low + bin
+    sums = (counts * np.arange(low, low + counts.size)).cumsum()
+
+    def smallest(r: int) -> int:
+        b = int(ranks.searchsorted(r))
+        return int(sums[b]) - (int(ranks[b]) - r) * (low + b)
+
+    return (smallest(k - t_hi) - smallest(t_lo)) / scale / kept
 
 
 def uicm(image: np.ndarray) -> float:
-    """Colorfulness from the two opponent chroma planes."""
-    img = _require_color(image, "image").astype(np.float64)
+    """Colorfulness from the two opponent chroma planes.
+
+    The planes are int16: RG = R - G and twice YB, R + G - 2B, so no value is
+    halved. YB's spread term works on the doubled plane and scales back by 1/4;
+    both steps are exact powers of two, so the bytes are those of YB itself.
+    """
+    img = _require_color(image, "image").astype(np.int16)
     rg = (img[0] - img[1]).reshape(-1)
-    yb = ((img[0] + img[1]) / 2.0 - img[2]).reshape(-1)
+    yb2 = (img[0] + img[1] - 2 * img[2]).reshape(-1)
     mu_rg = _trimmed_mean(rg)
-    mu_yb = _trimmed_mean(yb)
+    mu_yb = _trimmed_mean(yb2, 2)
     var_rg = float(np.mean((rg - mu_rg) ** 2))
-    var_yb = float(np.mean((yb - mu_yb) ** 2))
+    var_yb = float(np.mean((yb2 - 2.0 * mu_yb) ** 2)) / 4.0
     return _UICM_MU_COEF * float(np.hypot(mu_rg, mu_yb)) + _UICM_SIGMA_COEF * float(
         np.sqrt(var_rg + var_yb)
     )
 
 
-def _block_extremes(planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(max, min) of each plane's complete 8x8 blocks, both shaped (C, k1, k2)."""
-    c, h, w = planes.shape
+def _block_grid(h: int, w: int) -> Tuple[int, int]:
+    """Rows and columns of complete 8x8 blocks in an h x w image; there must be some."""
     k1, k2 = h // _BLOCK, w // _BLOCK
     if k1 < 1 or k2 < 1:
         raise MetricInputError(
             f"UIQM needs at least one {_BLOCK}x{_BLOCK} block, got {h}x{w} pixels"
         )
+    return k1, k2
+
+
+def _block_extremes(planes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(max, min) of each plane's complete 8x8 blocks, both shaped (C, k1, k2).
+
+    ``planes`` are float64 values >= +0.0 (no -0.0, no NaN), whose int64 bit
+    patterns order as the values do; int64 reductions run faster.
+    """
+    c, h, w = planes.shape
+    k1, k2 = _block_grid(h, w)
     b = planes[:, : k1 * _BLOCK, : k2 * _BLOCK].reshape(c, k1, _BLOCK, k2, _BLOCK)
     # one contiguous copy makes each block a row, reduced faster than 2 axes
-    b = b.transpose(0, 1, 3, 2, 4).reshape(c, k1, k2, _BLOCK * _BLOCK)
-    return b.max(axis=-1), b.min(axis=-1)
+    b = b.transpose(0, 1, 3, 2, 4).reshape(c, k1, k2, _BLOCK * _BLOCK).view(np.int64)
+    return b.max(axis=-1).view(np.float64), b.min(axis=-1).view(np.float64)
 
 
 @cache
@@ -222,32 +259,50 @@ def _hypot_ulp_fix() -> np.ndarray:
 def _sobel_magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     """np.hypot(gx, gy) in float64 for integer arrays within +-1020, without calling it.
 
-    gx² + gy² is an exact integer, so np.sqrt of it is correctly rounded; the
-    table moves it by the ulps np.hypot differs (hypot takes |gx| and |gy|).
+    In int32, gx² + gy² <= 2 * 1020² is exact, so np.sqrt of it is correctly
+    rounded; the table, indexed by |gx| * 1021 + |gy| <= 1020 * 1021 + 1020,
+    moves it by the ulps np.hypot differs (hypot takes |gx| and |gy|).
     """
-    ax = np.abs(gx).astype(np.intp)
-    ay = np.abs(gy).astype(np.intp)
-    mag = np.sqrt(ax * ax + ay * ay)
-    mag.view(np.int64)[...] += _hypot_ulp_fix().take(ax * (_SOBEL_MAX + 1) + ay)
+    ax = np.abs(gx).astype(np.int32)
+    ay = np.abs(gy).astype(np.int32)
+    sq = ax * ax
+    sq += ay * ay
+    mag = np.sqrt(sq)
+    ax *= _SOBEL_MAX + 1
+    ax += ay
+    mag.view(np.int64)[...] += _hypot_ulp_fix().take(ax)
     return mag
 
 
 def uism(image: np.ndarray) -> float:
     """Sharpness: per-channel Sobel edge maps scored by block contrast.
 
-    Sobel runs separably (smooth, then difference) on edge-replicated borders,
-    concatenated as np.pad costs 4-5x more. The magnitude has np.hypot's bytes
-    (see ``_sobel_magnitude``). EME per channel is 2/(k1 k2) * sum log(max/min)
-    over blocks, zero blocks giving 0.
+    The channels sit in one int16 buffer with edge-replicated borders, and
+    Sobel runs separably (smooth, then difference) on it as one flat array, a
+    row being w + 2 entries apart: positions on the border or straddling two
+    channels get values too (still within +-1020), and are never read. The
+    magnitude has np.hypot's bytes (see ``_sobel_magnitude``). EME per channel
+    is 2/(k1 k2) * sum log(max/min) over blocks, zero blocks giving 0.
     """
     img = _require_color(image, "image")
-    p = np.concatenate([img[:, :1], img, img[:, -1:]], axis=1)
-    p = np.concatenate([p[:, :, :1], p, p[:, :, -1:]], axis=2).astype(np.int16)
-    down = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
-    across = p[:, :, :-2] + 2 * p[:, :, 1:-1] + p[:, :, 2:]
-    gx = down[:, :, 2:] - down[:, :, :-2]
-    gy = across[:, 2:] - across[:, :-2]
-    bmax, bmin = _block_extremes(_sobel_magnitude(gx, gy) * img)
+    c, h, w = img.shape
+    _block_grid(h, w)  # refuse an image with no block before padding it
+    p = np.empty((c, h + 2, w + 2), np.int16)
+    p[:, 1:-1, 1:-1] = img
+    p[:, 0, 1:-1] = img[:, 0]
+    p[:, -1, 1:-1] = img[:, -1]
+    p[:, :, 0] = p[:, :, 1]
+    p[:, :, -1] = p[:, :, -2]
+    f = p.reshape(-1)
+    r = w + 2
+    down = f[: -2 * r] + 2 * f[r:-r] + f[2 * r :]
+    across = f[:-2] + 2 * f[1:-1] + f[2:]
+    # both are the gradient at flat position r + 1 + index
+    gx = down[2:] - down[:-2]
+    gy = across[2 * r :] - across[: -2 * r]
+    edges = np.empty(p.shape)
+    np.multiply(_sobel_magnitude(gx, gy), f[r + 1 : -r - 1], out=edges.reshape(-1)[r + 1 : -r - 1])
+    bmax, bmin = _block_extremes(edges[:, 1:-1, 1:-1])
     total = 0.0
     for weight, hi, lo in zip(_LUMA, bmax, bmin):
         ok = lo > 0  # edge values are >= 0, so hi >= lo > 0

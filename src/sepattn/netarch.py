@@ -36,6 +36,7 @@ from .diffcore import (
     conv_transpose2d,
     tanh,
 )
+from .util import check_int_fields
 
 __all__ = [
     "ConfigError",
@@ -73,6 +74,9 @@ class GeneratorConfig:
     base_channels: int = 16
     max_channels: int = 256
 
+    def __post_init__(self) -> None:
+        check_int_fields(self)
+
     def validate(self, image_size: int) -> None:
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
@@ -92,6 +96,9 @@ class DiscriminatorConfig:
     num_layers: int = 2
     base_channels: int = 64
     max_channels: int = 512
+
+    def __post_init__(self) -> None:
+        check_int_fields(self)
 
     def validate(self, image_size: int) -> None:
         if self.num_layers < 1:

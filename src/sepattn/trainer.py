@@ -42,7 +42,7 @@ from .diffcore import AdamState, ShapeError, Tensor4, adam_step, backward
 from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
-from .util import typed_fields
+from .util import check_int_fields, typed_fields
 
 __all__ = [
     "LOG_HEADER",
@@ -119,6 +119,7 @@ class TrainConfig:
         return LossWeights(self.cycle_weight, self.fg_attention, self.bg_attention)
 
     def __post_init__(self) -> None:
+        check_int_fields(self)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0 < self.lr < math.inf):

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List
+from typing import Callable, Iterable, List, Tuple
 
 THREADS_ENV = "SATT_THREADS"
 
@@ -87,3 +88,21 @@ def _typed_value(want: type, value, where: str, key: str):
     if want is float and not math.isfinite(value):
         raise ValueError(f"{where} key {key!r} must be a finite number, got {value!r}")
     return value
+
+
+@functools.cache
+def _int_fields(cls) -> Tuple[str, ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(f.name for f in dataclasses.fields(cls) if hints[f.name] is int)
+
+
+def check_int_fields(obj) -> None:
+    """Refuse a bool or a non-integer, NaN included, in any int field of dataclass ``obj``.
+
+    For ``__post_init__``, before range checks that NaN would pass. The
+    ValueError names the field, worded like ``typed_fields``.
+    """
+    for name in _int_fields(type(obj)):
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{type(obj).__name__} field {name!r} must be int, got {value!r}")

@@ -248,6 +248,13 @@ class TestDegrade:
         with pytest.raises(ValueError, match=field):
             DegradeParams(**{field: value})
 
+    @pytest.mark.parametrize("value", [math.nan, 3.0, True])
+    def test_seed_must_be_int(self, value):
+        with pytest.raises(ValueError, match=f"DegradeParams field 'seed' must be int, got {value!r}"):
+            DegradeParams(seed=value)
+        with pytest.raises(ValueError, match=f"degrade key 'seed' must be int, got {value!r}"):
+            datapipe.degrade_params_from({"seed": value})
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             degrade(random_record(), np.zeros((9, 9)), DegradeParams())

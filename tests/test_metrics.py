@@ -14,6 +14,8 @@ from sepattn.metrics import MetricInputError
 
 
 def ref_psnr(a, b):
+    # every partial sum is an integer below 2**53, so the loop's sum is exact;
+    # the log is NumPy's, as math.log10 can differ from it in the last bit
     s = 0.0
     n = 0
     for u, v in zip(a.reshape(-1).tolist(), b.reshape(-1).tolist()):
@@ -22,7 +24,7 @@ def ref_psnr(a, b):
     mse = s / n
     if mse == 0.0:
         return 99.0
-    return 10.0 * math.log10(255.0 * 255.0 / mse)
+    return 10.0 * float(np.log10(255.0 * 255.0 / mse))
 
 
 def ref_luma(img):
@@ -164,12 +166,19 @@ class TestPsnr:
         b[3, 5] = 100 + 16  # MSE = 256/256 = 1
         assert metrics.psnr(a, b) == pytest.approx(10 * math.log10(255**2), abs=1e-9)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_scalar_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 256, (3, 16, 16), dtype=np.uint8)
-        b = rng.integers(0, 256, (3, 16, 16), dtype=np.uint8)
-        assert metrics.psnr(a, b) == pytest.approx(ref_psnr(a, b), rel=1e-9)
+    @pytest.mark.parametrize("i", range(len(UIQM_CASES)), ids=[label for label, _ in UIQM_CASES])
+    def test_matches_scalar_reference(self, i):
+        a = UIQM_CASES[i][1]
+        rng = np.random.default_rng(40 + i)
+        pairs = [
+            (a, rng.integers(0, 256, a.shape, dtype=np.uint8)),
+            (a, np.full(a.shape, 255, np.uint8)),
+            (a, np.zeros(a.shape, np.uint8)),
+            (a, a),
+        ]
+        pairs += [(x[0], y[0]) for x, y in pairs]  # grayscale
+        for x, y in pairs:
+            assert np.float64(metrics.psnr(x, y)).tobytes() == np.float64(ref_psnr(x, y)).tobytes()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MetricInputError, match="differ"):
@@ -390,11 +399,11 @@ class TestUiqmBitExact:
 
     def test_trimmed_mean_ignores_order(self):
         rng = np.random.default_rng(32)
-        img = rng.integers(0, 256, (3, 64, 64)).astype(np.float64)
-        values = ((img[0] + img[1]) / 2.0 - img[2]).reshape(-1)
-        want = np.float64(ref_trimmed_mean(values)).tobytes()
+        img = rng.integers(0, 256, (3, 64, 64)).astype(np.int16)
+        doubled = (img[0] + img[1] - 2 * img[2]).reshape(-1)  # twice the YB plane
+        want = np.float64(ref_trimmed_mean(doubled / 2.0)).tobytes()
         for _ in range(3):
-            got = metrics._trimmed_mean(rng.permutation(values))
+            got = metrics._trimmed_mean(rng.permutation(doubled), 2)
             assert np.float64(got).tobytes() == want
 
 

@@ -130,6 +130,38 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: value})
 
+    @pytest.mark.parametrize(
+        "build, field, value",
+        [
+            (TrainConfig, "epochs", math.nan),
+            (TrainConfig, "batch_size", math.nan),
+            (TrainConfig, "seed", math.nan),
+            (TrainConfig, "epochs", 2.5),
+            (TrainConfig, "checkpoint_every", 10.0),
+            (TrainConfig, "image_size", 64.0),
+            (TrainConfig, "batch_size", True),
+            (GeneratorConfig, "depth", math.nan),
+            (GeneratorConfig, "base_channels", 16.0),
+            (GeneratorConfig, "max_channels", False),
+            (DiscriminatorConfig, "num_layers", math.nan),
+            (DiscriminatorConfig, "base_channels", True),
+            (DiscriminatorConfig, "max_channels", 512.0),
+        ],
+    )
+    def test_int_fields_refuse_bool_float_and_nan(self, build, field, value):
+        message = f"{build.__name__} field {field!r} must be int, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(**{field: value})
+
+    def test_int_fields_take_numpy_ints(self):
+        assert TrainConfig(epochs=np.int64(3), seed=np.int32(1)).epochs == 3
+
+    @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("batch_size", True), ("seed", 1.0)])
+    def test_json_int_fields_keep_their_message(self, key, value):
+        doc = {**tiny_config().to_dict(), key: value}
+        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be int, got {value!r}")):
+            TrainConfig.from_dict(doc)
+
     def test_dict_round_trip(self):
         cfg = tiny_config()
         back = TrainConfig.from_dict(cfg.to_dict())

@@ -32,7 +32,7 @@ from .datapipe import (
 )
 from .diffcore.gradcheck import OP_CASES, run_registry
 from .metrics import KNOWN_METRICS, checked_metric_names
-from .trainer import TrainConfig, desk_config, enhancer, evaluate, train
+from .trainer import TrainConfig, desk_config, enhancer, evaluate, load_checkpoint, train
 from .util import typed_fields, worker_count
 
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".png")
@@ -124,8 +124,14 @@ def cmd_train(args) -> int:
     with _usage():
         config, _ = _shared_config(args.config, desk=args.desk, epochs=args.epochs, seed=args.seed)
     manifest = load_manifest(args.data)
-    bundle, log_path = train(manifest, config, args.out, resume_from=args.resume)
-    print(f"trained {bundle.state['global_step']} steps; log at {log_path}")
+    start = load_checkpoint(args.resume) if args.resume else None
+    bundle, log_path = train(manifest, config, args.out, resume_from=start)
+    epoch, step = (start.state["next_epoch"], start.state["global_step"]) if start else (0, 0)
+    if epoch >= config.epochs:  # train wrote no final checkpoint
+        print(f"nothing to train: the run is at epoch {epoch} of {config.epochs}; "
+              f"log at {log_path}")
+        return 0
+    print(f"trained {bundle.state['global_step'] - step} steps; log at {log_path}")
     print(f"final checkpoint: {Path(args.out) / 'ckpt_final.satt'}")
     return 0
 

@@ -1,5 +1,9 @@
 """Image I/O, paired-dataset plumbing, and synthetic underwater degradation.
 
+A paired dataset is a directory whose ``manifest.json`` lists its splits and
+each id's image paths (see ``load_manifest``): ``generate_synthetic_dataset``
+writes one, and a real paired set needs only a hand-written one.
+
 The mandatory on-disk formats are binary PPM (``P6``, color) and PGM (``P5``,
 grayscale/depth) with an 8-bit maxval: both read and write bit-exactly with no
 third-party decoder. PNG files can additionally be *read* when Pillow is
@@ -13,9 +17,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -320,14 +324,12 @@ def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> Ima
 
 @dataclass
 class DatasetManifest:
+    """A dataset's splits and files, as ``load_manifest`` reads them."""
+
     root: str
-    layout: str  # "synthetic"
     splits: Dict[str, List[str]]
-    files: Dict[str, Dict[str, str]]  # id -> role -> relative path
-    image_size: Optional[int] = None
-    params: Optional[dict] = None
+    files: Dict[str, Dict[str, str]]  # id -> role -> path relative to root
     depth_missing: bool = False
-    extra: dict = field(default_factory=dict)
 
     def ids(self, split: str) -> List[str]:
         if split not in self.splits:
@@ -341,22 +343,17 @@ class DatasetManifest:
     def path(self, id: str, role: str) -> Path:
         return Path(self.root) / self.files[id][role]
 
-    def to_json(self) -> str:
-        # root intentionally omitted: the manifest lives inside its tree, so
-        # two generations of the same seed stay byte-identical anywhere
-        doc = {
-            "layout": self.layout,
-            "splits": self.splits,
-            "files": self.files,
-            "image_size": self.image_size,
-            "params": self.params,
-            "depth_missing": self.depth_missing,
-            "extra": self.extra,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
 
 def load_manifest(root) -> DatasetManifest:
+    """Read ``root/manifest.json``: a JSON object with ``splits`` and ``files``.
+
+    ``splits`` maps a split name to a list of ids; ``files`` maps each listed
+    id to its ``distorted`` and ``clean`` paths and an optional ``depth`` path,
+    all strings relative to ``root``. An optional ``depth_missing: true`` makes
+    every id load all-ones depth. Other keys, such as the provenance that
+    ``generate_synthetic_dataset`` writes, are ignored. A malformed value in
+    these keys, or an id listed in two splits, is a LayoutError.
+    """
     root = Path(root)
     mpath = root / MANIFEST_NAME
     if not mpath.is_file():
@@ -367,9 +364,9 @@ def load_manifest(root) -> DatasetManifest:
         raise LayoutError(f"{mpath}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LayoutError(f"{mpath}: top level must be a JSON object")
-    for key, kind in (("layout", str), ("splits", dict), ("files", dict)):
-        if not isinstance(doc.get(key), kind):
-            raise LayoutError(f"{mpath}: required key {key!r} is missing or not a {kind.__name__}")
+    for key in ("splits", "files"):
+        if not isinstance(doc.get(key), dict):
+            raise LayoutError(f"{mpath}: required key {key!r} is missing or not a dict")
     seen: Dict[str, str] = {}
     for split, names in doc["splits"].items():
         if not isinstance(names, list):
@@ -389,14 +386,7 @@ def load_manifest(root) -> DatasetManifest:
     if not isinstance(depth_missing, bool):
         raise LayoutError(f"{mpath}: 'depth_missing' must be true or false, got {depth_missing!r}")
     return DatasetManifest(
-        root=str(root),
-        layout=doc["layout"],
-        splits=doc["splits"],
-        files=doc["files"],
-        image_size=doc.get("image_size"),
-        params=doc.get("params"),
-        depth_missing=depth_missing,
-        extra=doc.get("extra", {}),
+        root=str(root), splits=doc["splits"], files=doc["files"], depth_missing=depth_missing
     )
 
 
@@ -460,7 +450,8 @@ def generate_synthetic_dataset(
     """Render `count` paired samples under out_root, fully seed-determined.
 
     Tree: out_root/{clean,distorted}/NNNNN.ppm, out_root/depth/NNNNN.pgm,
-    plus manifest.json. Split: first 90% train, last 10% test (empty test
+    plus manifest.json with the render's provenance (see ``load_manifest``
+    for the keys it reads). Split: first 90% train, last 10% test (empty test
     below 10 samples). Honors SATT_THREADS; per-sample derived seeds keep
     parallel output byte-identical to serial.
     """
@@ -493,24 +484,18 @@ def generate_synthetic_dataset(
         }
         for i in ids
     }
-    manifest = DatasetManifest(
-        root=str(root),
-        layout="synthetic",
-        splits={
-            "train": ids[: count - n_test],
-            "val": [],
-            "test": ids[count - n_test :],
-        },
-        files=files,
-        image_size=image_size,
-        params={
-            "beta": list(params.beta),
-            "backscatter": list(params.backscatter),
-            "contrast_gain": params.contrast_gain,
-            "noise_sigma": params.noise_sigma,
-            "seed": params.seed,
-        },
-        extra={"scene_seed": seed, "count": count},
-    )
-    (root / MANIFEST_NAME).write_text(manifest.to_json())
-    return manifest
+    splits = {"train": ids[: count - n_test], "val": [], "test": ids[count - n_test :]}
+    # layout, image_size, params and extra record how the set was made, and
+    # load_manifest ignores them. root is left out: the manifest lives inside
+    # its tree, so two generations of the same seed stay byte-identical anywhere
+    doc = {
+        "layout": "synthetic",
+        "splits": splits,
+        "files": files,
+        "image_size": image_size,
+        "params": asdict(params),
+        "depth_missing": False,
+        "extra": {"scene_seed": seed, "count": count},
+    }
+    (root / MANIFEST_NAME).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return DatasetManifest(root=str(root), splits=splits, files=files)

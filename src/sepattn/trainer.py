@@ -595,9 +595,11 @@ def train(
     """Run the full schedule; returns (final bundle, log path).
 
     Fresh runs write the CSV header and an initial checkpoint; resumed runs
-    cut the existing log back to the checkpoint's step counter and append from
-    there. Shuffling is derived from (seed, epoch), so resuming at an epoch
-    boundary sees the identical batch order the uninterrupted run would have.
+    (``resume_from`` a checkpoint path or loaded bundle) cut the existing log
+    back to the checkpoint's step counter and append from there.
+    ``ckpt_final.satt`` is written only when the call trains an epoch.
+    Shuffling is derived from (seed, epoch), so resuming at an epoch boundary
+    sees the identical batch order the uninterrupted run would have.
     """
     pairs = _load_train_pairs(manifest, config)  # bad data fails before any write
     n = len(pairs)
@@ -619,7 +621,9 @@ def train(
     global_step = 0
 
     if resume_from is not None:
-        bundle = load_checkpoint(resume_from)
+        bundle = resume_from
+        if not isinstance(bundle, CheckpointBundle):
+            bundle = load_checkpoint(resume_from)
         if bundle.hash != config_hash(config):
             raise CheckpointError(
                 f"config hash mismatch: checkpoint {bundle.hash[:12]}… vs "

@@ -16,16 +16,18 @@ THREADS_ENV = "SATT_THREADS"
 def worker_count() -> int:
     """Worker cap for parallelizable batch work (dataset synthesis, scoring).
 
-    Controlled by the SATT_THREADS environment variable; defaults to 1. All
-    parallel work units are seeded independently, so the result never depends
-    on this value.
+    Controlled by the SATT_THREADS environment variable, a positive integer;
+    defaults to 1. All parallel work units are seeded independently, so the
+    result never depends on this value.
     """
     raw = os.environ.get(THREADS_ENV, "1")
     try:
         n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+    return n
 
 
 def map_units(fn: Callable, units: Iterable) -> List:

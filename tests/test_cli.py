@@ -154,16 +154,38 @@ class TestTrain:
         # 9 train pairs at batch 2 -> 5 steps per epoch (trailing short batch)
         assert len(lines) == 1 + 5
 
-    def test_resume_continues_step_numbering(self, dataset, config_file, tmp_path):
+    def test_resume_continues_step_numbering(self, dataset, config_file, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("train", "--config", str(config_file),
                        "--data", str(dataset), "--out", str(out)) == 0
+        capsys.readouterr()
         assert run_cli("train", "--config", str(config_file), "--epochs", "2",
                        "--data", str(dataset), "--out", str(out),
                        "--resume", str(out / "ckpt_epoch_0001.satt")) == 0
         rows = (out / "train_log.csv").read_text().splitlines()[1:]
         steps = [int(r.split(",")[1]) for r in rows]
         assert steps == list(range(1, 11))
+        # the count is of the steps this call trained, not the run's total
+        assert capsys.readouterr().out.splitlines() == [
+            f"trained 5 steps; log at {out / 'train_log.csv'}",
+            f"final checkpoint: {out / 'ckpt_final.satt'}",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, epoch, left",
+        [(["--epochs", "0"], "0 of 0", ["ckpt_init.satt", "train_log.csv"]),
+         (["--epochs", "1", "--resume", "{run}/ckpt_final.satt"], "1 of 1", ["train_log.csv"])],
+        ids=["zero-epochs", "resume-at-the-schedule-end"],
+    )
+    def test_nothing_to_train_names_no_final_checkpoint(self, dataset, config_file, trained_run,
+                                                        tmp_path, capsys, argv, epoch, left):
+        out = tmp_path / "r"
+        assert run_cli("train", "--config", str(config_file), "--data", str(dataset),
+                       "--out", str(out), *(a.format(run=trained_run) for a in argv)) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"nothing to train: the run is at epoch {epoch}; log at {out / 'train_log.csv'}"
+        ]
+        assert sorted(p.name for p in out.iterdir()) == left
 
     def test_resume_from_init_checkpoint_matches_fresh_run(self, dataset, config_file,
                                                            trained_run, tmp_path):
@@ -561,6 +583,26 @@ class TestDepthFallback:
         assert capsys.readouterr().err == ""
 
 
+class TestHandWrittenManifest:
+    """A paired set needs only ``splits`` and ``files``: no provenance keys."""
+
+    def test_train_and_eval_run(self, dataset, config_file, tmp_path):
+        root = tmp_path / "d"
+        shutil.copytree(dataset, root)
+        files = {i: {"distorted": f"distorted/{i}.ppm", "clean": f"clean/{i}.ppm"}
+                 for i in ("00000", "00001", "00002")}
+        for i in ("00000", "00002"):
+            files[i]["depth"] = f"depth/{i}.pgm"
+        (root / "manifest.json").write_text(json.dumps({
+            "splits": {"train": ["00000", "00001"], "test": ["00002"]},
+            "files": files,
+        }))
+        assert run_cli("eval", "--checkpoint", "identity", "--data", str(root)) == 0
+        assert run_cli("train", "--config", str(config_file), "--data", str(root),
+                       "--out", str(tmp_path / "r")) == 0
+        assert (tmp_path / "r" / "ckpt_final.satt").is_file()
+
+
 class TestMaskPreview:
     def test_partition_sums_back_exactly(self, dataset, tmp_path):
         out = tmp_path / "m"
@@ -699,9 +741,12 @@ class TestBadInvocation:
             (None, ["grad-check", "--ops", "add", "--seed", "-1"]),
             ("abc", ["generate-data", "--count", "2", "--size", "16", "--out", "{tmp}/g"]),
             ("abc", ["eval", "--checkpoint", "identity", "--data", "{data}"]),
+            ("0", ["grad-check", "--ops", "tanh"]),
+            ("-3", ["grad-check", "--ops", "tanh"]),
         ],
         ids=["generate-data-negative-seed", "grad-check-negative-seed",
-             "generate-data-bad-threads", "eval-bad-threads"],
+             "generate-data-bad-threads", "eval-bad-threads",
+             "grad-check-zero-threads", "grad-check-negative-threads"],
     )
     def test_usage_error(self, dataset, tmp_path, capsys, monkeypatch, threads, argv):
         if threads is not None:

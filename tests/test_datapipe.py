@@ -29,6 +29,60 @@ from sepattn.datapipe import (
 PSNR_BAND_CENTER = 14.91
 PSNR_BAND_HALF_WIDTH = 1.0
 
+# manifest.json of generate_synthetic_dataset(3, 8, DegradeParams(), seed=1):
+# ids, relative paths and parameters only, so it is the same on any host
+MANIFEST_3x8_SEED1 = """{
+  "depth_missing": false,
+  "extra": {
+    "count": 3,
+    "scene_seed": 1
+  },
+  "files": {
+    "00000": {
+      "clean": "clean/00000.ppm",
+      "depth": "depth/00000.pgm",
+      "distorted": "distorted/00000.ppm"
+    },
+    "00001": {
+      "clean": "clean/00001.ppm",
+      "depth": "depth/00001.pgm",
+      "distorted": "distorted/00001.ppm"
+    },
+    "00002": {
+      "clean": "clean/00002.ppm",
+      "depth": "depth/00002.pgm",
+      "distorted": "distorted/00002.ppm"
+    }
+  },
+  "image_size": 8,
+  "layout": "synthetic",
+  "params": {
+    "backscatter": [
+      20.0,
+      120.0,
+      140.0
+    ],
+    "beta": [
+      1.8,
+      0.9,
+      0.4
+    ],
+    "contrast_gain": 0.7,
+    "noise_sigma": 2.0,
+    "seed": 0
+  },
+  "splits": {
+    "test": [],
+    "train": [
+      "00000",
+      "00001",
+      "00002"
+    ],
+    "val": []
+  }
+}
+"""
+
 
 def random_record(seed=0, channels=3, h=6, w=5, id="img"):
     rng = np.random.default_rng(seed)
@@ -271,7 +325,7 @@ def tree_bytes(root):
 class TestSyntheticDataset:
     def test_layout_splits_and_dims(self, tmp_path):
         man = generate_synthetic_dataset(20, 16, DegradeParams(), seed=5, out_root=tmp_path)
-        assert man.layout == "synthetic"
+        assert json.loads((tmp_path / "manifest.json").read_text())["layout"] == "synthetic"
         assert len(man.splits["train"]) == 18
         assert len(man.splits["test"]) == 2
         assert man.splits["val"] == []
@@ -302,8 +356,10 @@ class TestSyntheticDataset:
         back = load_manifest(tmp_path)
         assert back.splits == man.splits
         assert back.files == man.files
-        assert back.image_size == 16
-        assert back.params["beta"] == [1.8, 0.9, 0.4]
+        assert back.depth_missing is man.depth_missing is False
+        written = json.loads((tmp_path / "manifest.json").read_text())
+        assert written["image_size"] == 16
+        assert written["params"]["beta"] == [1.8, 0.9, 0.4]
         assert all(back.path(i, role).is_file() for i, roles in back.files.items() for role in roles)
 
     @pytest.mark.parametrize(
@@ -312,7 +368,6 @@ class TestSyntheticDataset:
             (lambda doc: doc.pop("splits"), "'splits' is missing"),
             (lambda doc: doc.pop("files"), "'files' is missing"),
             (lambda doc: doc.update(splits=["train"]), "'splits' is missing or not a dict"),
-            (lambda doc: doc.update(layout=3), "'layout' is missing or not a str"),
             (lambda doc: doc["files"].pop("00000"), "'00000'.*lacks a 'distorted' or 'clean'"),
             (lambda doc: doc["files"]["00001"].pop("clean"), "'00001'.*lacks a 'distorted' or 'clean'"),
             (lambda doc: doc["splits"].update(train="00000"), "split 'train' must be a list"),
@@ -330,6 +385,28 @@ class TestSyntheticDataset:
         mpath.write_text(json.dumps(doc))
         with pytest.raises(LayoutError, match=match):
             load_manifest(tmp_path)
+
+    def test_manifest_text_is_pinned(self, tmp_path):
+        generate_synthetic_dataset(3, 8, DegradeParams(), seed=1, out_root=tmp_path)
+        assert (tmp_path / "manifest.json").read_text() == MANIFEST_3x8_SEED1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(layout=3),
+            lambda doc: [doc.pop(k) for k in ("layout", "image_size", "params", "extra")],
+            lambda doc: doc.update(image_size="big", params=[], extra=None, notes={"by": "hand"}),
+        ],
+        ids=["wrong-typed-layout", "only-splits-and-files", "provenance-of-any-type"],
+    )
+    def test_keys_the_loader_does_not_read_are_ignored(self, tmp_path, edit):
+        man = generate_synthetic_dataset(2, 16, DegradeParams(), seed=1, out_root=tmp_path)
+        mpath = tmp_path / "manifest.json"
+        doc = json.loads(mpath.read_text())
+        edit(doc)
+        doc.pop("depth_missing")
+        mpath.write_text(json.dumps(doc))
+        assert load_manifest(tmp_path) == man
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
     def test_non_object_manifest_is_layout_error(self, tmp_path, text):

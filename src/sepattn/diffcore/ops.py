@@ -13,9 +13,10 @@ operand, such as a frozen weight or a constant mask, gets ``None`` and costs
 nothing.
 
 A closure keeps only its operands, views of their data and per-channel
-vectors; what a parent can rebuild exactly is recomputed in backward instead
-of held for the life of the graph. ``conv2d`` rebuilds its im2col matrix from
-``x``, and only when the weight is tracked. ``batch_norm_leaky`` is batch norm
+vectors, and only until backward passes the node; what a parent can rebuild
+exactly is recomputed in backward instead of held for the life of the graph.
+``conv2d`` rebuilds its im2col matrix from ``x``, and only when the weight is
+tracked. ``batch_norm_leaky`` is batch norm
 and its leaky ReLU in one node (the networks never use one without the other):
 its closure keeps ``x``, ``gamma``, ``beta`` and the per-channel mean and
 inverse deviation, and backward rebuilds x̂ and the pre-activation

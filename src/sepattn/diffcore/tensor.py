@@ -4,6 +4,9 @@ Everything in this package works on one layout: dense float32 arrays of shape
 (batch, channels, height, width). Scalars are tensors of shape (1, 1, 1, 1).
 Gradient bookkeeping lives directly on the tensor: ops attach a tuple of parent
 tensors plus a closure that maps the output gradient to per-parent gradients.
+A graph is consumed by its backward: the sweep detaches each node once it has
+passed it, so the graph's arrays are freed as it goes. A caller who needs
+several gradients builds the graph once per backward.
 """
 from __future__ import annotations
 
@@ -44,7 +47,10 @@ class Tensor4:
     Ops never mutate operand data. When ``requires_grad`` is set on any operand
     of an op, the op output carries ``_parents`` and ``_grad_fn`` so that
     :func:`sepattn.diffcore.ops.backward` can run the reverse sweep. Only
-    leaves (tensors made directly, not by an op) ever receive ``.grad``.
+    leaves (tensors made directly, not by an op) ever receive ``.grad``. The
+    sweep consumes the graph: an op output it has passed keeps its ``data``
+    but no parents, and backpropagating through it again raises
+    :class:`GraphError`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
@@ -131,20 +137,33 @@ def topo_order(root: Tensor4) -> list:
     return order
 
 
+def _consumed(g: np.ndarray):
+    """The ``_grad_fn`` of a node that a backward sweep has already passed."""
+    raise GraphError("graph already consumed by backward; build it again")
+
+
 def backward(loss: Tensor4) -> None:
-    """Reverse-mode sweep from a scalar loss.
+    """Reverse-mode sweep from a scalar loss, consuming the graph as it goes.
 
     Populates ``.grad`` on every reachable leaf with ``requires_grad`` set,
-    accumulating additively so that several backward calls (or several uses of
-    one tensor) sum their contributions. Intermediate op outputs pass their
-    gradient on to their parents and keep no ``.grad``.
+    accumulating additively so that several graphs sharing leaves (or several
+    uses of one tensor) sum their contributions. Intermediate op outputs pass
+    their gradient on to their parents and keep no ``.grad``.
+
+    Once a node's closure has run, the node drops its parents and its closure,
+    and its ``_grad_fn`` then raises :class:`GraphError`; so each intermediate
+    array is freed as soon as the sweep has passed it, unless the caller holds
+    that tensor. A graph therefore serves one backward; a caller who needs
+    several gradients builds the graph once per backward.
     """
     if loss.shape != SCALAR_SHAPE:
         raise GraphError(
             f"backward requires a scalar loss of shape {SCALAR_SHAPE}, got {loss.shape}"
         )
     flow: dict[int, np.ndarray] = {id(loss): np.ones(SCALAR_SHAPE, dtype=DTYPE)}
-    for node in reversed(topo_order(loss)):
+    order = topo_order(loss)
+    while order:
+        node = order.pop()
         g = flow.pop(id(node), None)
         if g is None:
             continue
@@ -152,13 +171,16 @@ def backward(loss: Tensor4) -> None:
             if node.requires_grad:
                 node.accumulate_grad(g)
             continue
+        parents = node._parents
         parent_grads = node._grad_fn(g)
-        if len(parent_grads) != len(node._parents):
+        if len(parent_grads) != len(parents):
             raise GraphError(
                 f"grad_fn returned {len(parent_grads)} gradients for "
-                f"{len(node._parents)} parents"
+                f"{len(parents)} parents"
             )
-        for parent, pg in zip(node._parents, parent_grads):
+        node._parents = ()
+        node._grad_fn = _consumed
+        for parent, pg in zip(parents, parent_grads):
             if parent is None or pg is None:
                 continue
             key = id(parent)
@@ -166,3 +188,6 @@ def backward(loss: Tensor4) -> None:
                 flow[key] = flow[key] + pg
             else:
                 flow[key] = pg
+        # the loop's own references would keep this node's arrays alive
+        # through the next node's closure
+        node = g = parents = parent_grads = parent = pg = None

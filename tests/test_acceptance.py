@@ -186,23 +186,25 @@ def test_4_loss_algebra_worked_values_and_gradient_decomposition():
         y = Tensor4(g.uniform(-1, 1, (2, 3, 16, 16)).astype(np.float32))
         depth = g.uniform(0, 1, (16, 16)).astype(np.float32)
 
-        def grads_of(scalar, models=models):
+        def grads_of(part, models=models, x=x, y=y, depth=depth):
+            # backward consumes its graph, so each gradient gets a graph of its
+            # own; training-mode forwards use batch moments, so they are equal
             for m in models.values():
                 for p in m.params.values():
                     p.tensor.zero_grad()
-            backward(scalar)
+            total, _, parts = losses.full_generator_loss(
+                x, y, depth, models, w, return_parts=True
+            )
+            backward(total if part == "total" else parts[part])
             return {
                 f"{n}/{pid}": (p.tensor.grad.copy() if p.tensor.grad is not None else 0.0)
                 for n in ("gen_xy", "gen_yx")
                 for pid, p in models[n].params.items()
             }
 
-        total, _, parts = losses.full_generator_loss(
-            x, y, depth, models, w, return_parts=True
-        )
-        g_total = grads_of(total)
-        g_fg = grads_of(parts["combined_fg"])
-        g_bg = grads_of(parts["combined_bg"])
+        g_total = grads_of("total")
+        g_fg = grads_of("combined_fg")
+        g_bg = grads_of("combined_bg")
         for key, got in g_total.items():
             want = w.fg_attention * g_fg[key] + w.bg_attention * g_bg[key]
             scale = max(np.abs(got).max(), 1e-12)

@@ -132,11 +132,17 @@ class TestFullGeneratorLoss:
         models = small_models(seed=seed)
         x, y, depth = batch(seed=seed)
         w = LossWeights()
-        total, _, parts = losses.full_generator_loss(
-            x, y, depth, models, w, return_parts=True
-        )
+
+        def backward_through(part):
+            # backward consumes its graph: one graph per gradient, all equal
+            # because training-mode forwards use batch moments
+            total, _, parts = losses.full_generator_loss(
+                x, y, depth, models, w, return_parts=True
+            )
+            backward(total if part == "total" else parts[part])
+
         gens = [models["gen_xy"], models["gen_yx"]]
-        backward(total)
+        backward_through("total")
         g_total = {
             f"{i}/{pid}": p.tensor.grad.copy()
             for i, m in enumerate(gens)
@@ -145,7 +151,7 @@ class TestFullGeneratorLoss:
         for m in models.values():
             for p in m.params.values():
                 p.tensor.zero_grad()
-        backward(parts["combined_fg"])
+        backward_through("combined_fg")
         g_fg = {
             f"{i}/{pid}": p.tensor.grad.copy() if p.tensor.grad is not None else 0.0
             for i, m in enumerate(gens)
@@ -154,7 +160,7 @@ class TestFullGeneratorLoss:
         for m in models.values():
             for p in m.params.values():
                 p.tensor.zero_grad()
-        backward(parts["combined_bg"])
+        backward_through("combined_bg")
         for i, m in enumerate(gens):
             for pid, p in m.params.items():
                 g_bg = p.tensor.grad if p.tensor.grad is not None else 0.0

@@ -7,23 +7,22 @@ transposed convolution is the exact adjoint (it reuses the col2im scatter that
 conv2d's input gradient uses, so <conv2d(x,w), y> == <x, conv_transpose2d(y,w)>
 holds to rounding). Reductions accumulate in float64 and store float32.
 
-Backward closures compute a gradient only for operands that are tracked
-(``requires_grad`` set, or produced by another tracked op); an untracked
-operand, such as a frozen weight or a constant mask, gets ``None`` and costs
-nothing.
+Whether an operand needs a gradient (``requires_grad`` set, or made by another
+tracked op) is fixed when the op runs: ``_make`` keeps one flag per parent, the
+closure reads them, and ``backward`` gives a parent whose flag is off no
+gradient, even if its tracking changed since. An untracked operand costs nothing.
 
 A closure keeps only its operands, views of their data and per-channel
 vectors, and only until backward passes the node; what a parent can rebuild
 exactly is recomputed in backward instead of held for the life of the graph.
 ``conv2d`` rebuilds its im2col matrix from ``x``, and only when the weight is
-tracked. ``batch_norm_leaky`` is batch norm
-and its leaky ReLU in one node (the networks never use one without the other):
-its closure keeps ``x``, ``gamma``, ``beta`` and the per-channel mean and
-inverse deviation, and backward rebuilds x̂ and the pre-activation
-``x̂ * gamma + beta`` in the forward's order, taking the leaky slope from the
-pre-activation's sign (never from the output, which is -0.0 for a tiny negative
-pre-activation). The rebuilt arrays are byte-equal to the forward's, so
-gradients are unchanged.
+tracked. ``batch_norm_leaky`` is batch norm and its leaky ReLU in one node (the
+networks never use one without the other): its closure keeps ``x``, ``gamma``,
+``beta`` and the per-channel mean and inverse deviation, and backward rebuilds
+x̂ and the pre-activation ``x̂ * gamma + beta`` in the forward's order, taking
+the leaky slope from the pre-activation's sign (never from the output, which is
+-0.0 for a tiny negative pre-activation). The rebuilt arrays are byte-equal to
+the forward's, so gradients are unchanged.
 
 ``_col2im`` builds every ``conv_transpose2d`` output and every ``conv2d``
 input gradient, C-contiguous and unpadded. It sums one output phase (row and
@@ -65,18 +64,18 @@ BN_MOMENTUM = 0.1
 LEAKY_SLOPE = 0.2
 
 
-def _live(t: Optional[Tensor4]) -> bool:
-    """Whether a gradient for ``t`` is needed by the backward sweep."""
-    return t is not None and (t.requires_grad or t._grad_fn is not None)
+def _needs(parents: tuple) -> tuple:
+    """Per parent, whether the backward sweep needs its gradient, as of now."""
+    return tuple(p is not None and (p.requires_grad or p._grad_fn is not None) for p in parents)
 
 
-def _make(data: np.ndarray, parents: tuple, grad_fn) -> Tensor4:
-    """Wrap a forward result; attach graph edges only if some parent is live."""
+def _make(data: np.ndarray, parents: tuple, grad_fn, needs: tuple = ()) -> Tensor4:
+    """Wrap a forward result; attach graph edges only if some parent needs a gradient."""
     out = Tensor4(data)
-    if any(_live(p) for p in parents):
+    needs = needs or _needs(parents)
+    if any(needs):
         out.requires_grad = True
-        out._parents = parents
-        out._grad_fn = grad_fn
+        out._parents, out._needs, out._grad_fn = parents, needs, grad_fn
     return out
 
 
@@ -233,21 +232,23 @@ def conv2d(
     if bias is not None:
         out = out + bias.data
 
+    parents = (x, weight, bias) if bias is not None else (x, weight)
+    needs = _needs(parents)
+
     def grad_fn(g: np.ndarray):
         g_mat = g.reshape(n, cout, oh * ow)
-        grad_x = grad_w = grad_b = None
-        if _live(x):
+        grads = [None] * len(needs)
+        if needs[0]:
             gcols = np.matmul(w_mat.T, g_mat)  # (N, K, L)
-            grad_x = _col2im(gcols, n, cin, h, w, kh, kw, stride, padding, oh, ow)
-        if _live(weight):
+            grads[0] = _col2im(gcols, n, cin, h, w, kh, kw, stride, padding, oh, ow)
+        if needs[1]:
             cols = _im2col(_pad(x.data, padding), kh, kw, stride, oh, ow)  # (N, K, L), rebuilt
-            grad_w = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        if _live(bias):
-            grad_b = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1).astype(DTYPE)
-        return (grad_x, grad_w, grad_b) if bias is not None else (grad_x, grad_w)
+            grads[1] = np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+        if bias is not None and needs[2]:
+            grads[2] = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1).astype(DTYPE)
+        return tuple(grads)
 
-    parents = (x, weight, bias) if bias is not None else (x, weight)
-    return _make(out.astype(DTYPE, copy=False), parents, grad_fn)
+    return _make(out.astype(DTYPE, copy=False), parents, grad_fn, needs)
 
 
 def conv_transpose2d(y: Tensor4, weight: Tensor4, stride: int = 1, padding: int = 0) -> Tensor4:
@@ -279,16 +280,18 @@ def conv_transpose2d(y: Tensor4, weight: Tensor4, stride: int = 1, padding: int 
     cols = np.matmul(w_mat.T, y_mat)  # (N, K, L)
     out = _col2im(cols, n, cin, h, w, kh, kw, stride, padding, hy, wy)
 
+    need_y, need_w = needs = _needs((y, weight))
+
     def grad_fn(g: np.ndarray):
         gcols = _im2col(_pad(g, padding), kh, kw, stride, hy, wy)  # (N, K, L)
         grad_y = grad_w = None
-        if _live(y):
+        if need_y:
             grad_y = np.matmul(w_mat, gcols).reshape(n, cout, hy, wy)
-        if _live(weight):
+        if need_w:
             grad_w = np.matmul(y_mat, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
         return grad_y, grad_w
 
-    return _make(out.astype(DTYPE, copy=False), (y, weight), grad_fn)
+    return _make(out.astype(DTYPE, copy=False), (y, weight), grad_fn, needs)
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +376,11 @@ def batch_norm_leaky(
     # max(b, slope*b) picks b for b >= 0 and slope*b below: as 0 < LEAKY_SLOPE < 1
     # it equals the masked select bit for bit (+-0, +-inf and NaN included)
     np.maximum(out, LEAKY_SLOPE * out, out=out)
+    need_x, need_gamma, need_beta = needs = _needs((x, gamma, beta))
 
     def grad_fn(g: np.ndarray):
         xhat = (x.data - mean) * inv  # rebuilt: bytes equal to the forward's
-        # the pre-activation, rebuilt in the forward's order; its sign, not the
-        # output's, picks the slope (max(b, slope*b) is -0.0 for a tiny negative b)
-        b = xhat * gamma.data
+        b = xhat * gamma.data  # the pre-activation, whose sign picks the slope
         b += beta.data
         # factor is exactly 1.0 where b >= 0 and float32(slope) elsewhere
         factor = (b >= 0).astype(DTYPE)
@@ -388,27 +390,23 @@ def batch_norm_leaky(
         g = factor  # gradient at the batch-norm output
 
         grad_x = dgamma = dbeta = None
-        if _live(gamma):
+        if need_gamma:
             dgamma = (g * xhat).sum(axis=(0, 2, 3), dtype=np.float64)
             dgamma = dgamma.astype(DTYPE).reshape(1, c, 1, 1)
-        if _live(beta):
+        if need_beta:
             dbeta = g.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE).reshape(1, c, 1, 1)
-        if _live(x):
+        if need_x:
             dxhat = g * gamma.data
             if training:
                 s1 = dxhat.sum(axis=(0, 2, 3), dtype=np.float64).astype(DTYPE).reshape(1, c, 1, 1)
-                s2 = (
-                    (dxhat * xhat)
-                    .sum(axis=(0, 2, 3), dtype=np.float64)
-                    .astype(DTYPE)
-                    .reshape(1, c, 1, 1)
-                )
+                s2 = (dxhat * xhat).sum(axis=(0, 2, 3), dtype=np.float64)
+                s2 = s2.astype(DTYPE).reshape(1, c, 1, 1)
                 grad_x = (inv / m) * (m * dxhat - s1 - xhat * s2)
             else:
                 grad_x = dxhat * inv
         return grad_x, dgamma, dbeta
 
-    return _make(out, (x, gamma, beta), grad_fn)
+    return _make(out, (x, gamma, beta), grad_fn, needs)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +434,19 @@ def add(a: Tensor4, b: Tensor4) -> Tensor4:
 
 def sub(a: Tensor4, b: Tensor4) -> Tensor4:
     _check_same_shape("sub", a, b)
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g if _live(b) else None))
+    needs = _needs((a, b))
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g if needs[1] else None), needs)
 
 
 def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     """Elementwise (Hadamard) product; shapes must match exactly."""
     _check_same_shape("mul", a, b)
+    need_a, need_b = needs = _needs((a, b))
 
     def grad_fn(g: np.ndarray):
-        return (g * b.data if _live(a) else None, g * a.data if _live(b) else None)
+        return (g * b.data if need_a else None, g * a.data if need_b else None)
 
-    return _make(a.data * b.data, (a, b), grad_fn)
+    return _make(a.data * b.data, (a, b), grad_fn, needs)
 
 
 def scale(a: Tensor4, c: float) -> Tensor4:

@@ -3,7 +3,8 @@
 Everything in this package works on one layout: dense float32 arrays of shape
 (batch, channels, height, width). Scalars are tensors of shape (1, 1, 1, 1).
 Gradient bookkeeping lives directly on the tensor: ops attach a tuple of parent
-tensors plus a closure that maps the output gradient to per-parent gradients.
+tensors, one flag per parent saying whether it needed a gradient when the op
+ran, and a closure that maps the output gradient to per-parent gradients.
 A graph is consumed by its backward: the sweep detaches each node once it has
 passed it, so the graph's arrays are freed as it goes. A caller who needs
 several gradients builds the graph once per backward.
@@ -45,21 +46,22 @@ class Tensor4:
     """A (batch, channels, height, width) float32 array, optionally tracked.
 
     Ops never mutate operand data. When ``requires_grad`` is set on any operand
-    of an op, the op output carries ``_parents`` and ``_grad_fn`` so that
-    :func:`sepattn.diffcore.ops.backward` can run the reverse sweep. Only
-    leaves (tensors made directly, not by an op) ever receive ``.grad``. The
-    sweep consumes the graph: an op output it has passed keeps its ``data``
-    but no parents, and backpropagating through it again raises
-    :class:`GraphError`.
+    of an op, the op output carries ``_parents``, their ``_needs`` flags and
+    ``_grad_fn`` so that :func:`sepattn.diffcore.ops.backward` can run the
+    reverse sweep. Only leaves (tensors made directly, not by an op) ever
+    receive ``.grad``. The sweep consumes the graph: an op output it has
+    passed keeps its ``data`` but no parents, and backpropagating through it
+    again raises :class:`GraphError`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_needs", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as4d(data)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
+        self._needs: tuple = ()  # per parent: needed a gradient when the op ran
         self._grad_fn: Optional[Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]] = None
 
     # -- views ----------------------------------------------------------------
@@ -148,7 +150,9 @@ def backward(loss: Tensor4) -> None:
     Populates ``.grad`` on every reachable leaf with ``requires_grad`` set,
     accumulating additively so that several graphs sharing leaves (or several
     uses of one tensor) sum their contributions. Intermediate op outputs pass
-    their gradient on to their parents and keep no ``.grad``.
+    their gradient on to their parents and keep no ``.grad``. A parent gets
+    nothing through an edge whose ``_needs`` flag was off when the op ran, so
+    a model frozen while its graph was built stays untouched after it thaws.
 
     Once a node's closure has run, the node drops its parents and its closure,
     and its ``_grad_fn`` then raises :class:`GraphError`; so each intermediate
@@ -171,17 +175,17 @@ def backward(loss: Tensor4) -> None:
             if node.requires_grad:
                 node.accumulate_grad(g)
             continue
-        parents = node._parents
+        parents, needs = node._parents, node._needs
         parent_grads = node._grad_fn(g)
         if len(parent_grads) != len(parents):
             raise GraphError(
                 f"grad_fn returned {len(parent_grads)} gradients for "
                 f"{len(parents)} parents"
             )
-        node._parents = ()
+        node._parents = node._needs = ()
         node._grad_fn = _consumed
-        for parent, pg in zip(parents, parent_grads):
-            if parent is None or pg is None:
+        for parent, need, pg in zip(parents, needs, parent_grads):
+            if not need or pg is None:
                 continue
             key = id(parent)
             if key in flow:

@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import sys
 import zlib
@@ -40,7 +41,7 @@ from .datapipe import (
 )
 from .diffcore import AdamState, ShapeError, Tensor4, adam_step, backward
 from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
-from .metrics import KNOWN_METRICS, MetricsReport, batch_report
+from .metrics import KNOWN_METRICS, MetricsReport, batch_report, checked_metric_names
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
 from .util import check_int_fields, typed_fields
 
@@ -554,26 +555,36 @@ def _warn_depth_fallback(manifest: DatasetManifest, ids: Sequence[str]) -> None:
         )
 
 
-def _load_train_pairs(manifest: DatasetManifest, config: TrainConfig) -> List[PairedSample]:
+def _train_pair(manifest: DatasetManifest, id: str, config: TrainConfig) -> PairedSample:
+    """``load_pair``, refusing a pair that is not ``config.image_size`` square."""
+    pair = load_pair(manifest, id)
+    if pair.clean.pixels.shape[1:] != (config.image_size, config.image_size):
+        raise ValueError(
+            f"{manifest.path(id, 'clean')}: sample {id!r} is {pair.clean.pixels.shape[1:]}, "
+            f"config wants {(config.image_size, config.image_size)}"
+        )
+    return pair
+
+
+def _check_train_pairs(manifest: DatasetManifest, config: TrainConfig) -> List[str]:
+    """The training ids, once every pair has loaded and checked; no pixels are kept."""
     ids = manifest.ids("train")
     if not ids:
         raise ValueError("manifest has no training ids")
     _warn_depth_fallback(manifest, ids)
-    pairs = [load_pair(manifest, i) for i in ids]
-    for p in pairs:
-        if p.clean.pixels.shape[1:] != (config.image_size, config.image_size):
-            raise ValueError(
-                f"sample {p.clean.id!r} is {p.clean.pixels.shape[1:]}, config wants "
-                f"{(config.image_size, config.image_size)}"
-            )
-    return pairs
+    for i in ids:
+        _train_pair(manifest, i, config)
+    return ids
 
 
 def _truncate_log(log_path: Path, global_step: int) -> None:
     """Keep the header and the complete rows up to ``global_step``.
 
     Rows past the checkpoint being resumed from were logged by a run that went
-    on after it; the resumed run logs those steps again.
+    on after it; the resumed run logs those steps again. The kept rows go to a
+    temp file beside the log, synced, which then replaces the log: a crash
+    leaves the old log or the new one, never a cut one. Nothing reads the temp
+    file, and the next truncation overwrites one a crash left behind.
     """
     lines = log_path.read_text().splitlines(keepends=True)
     keep = lines[:1]
@@ -583,7 +594,12 @@ def _truncate_log(log_path: Path, global_step: int) -> None:
         if not complete or int(cells[1]) > global_step:
             break
         keep.append(line)
-    log_path.write_text("".join(keep))
+    tmp = log_path.with_name(log_path.name + ".tmp")
+    with tmp.open("w") as f:
+        f.write("".join(keep))
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, log_path)
 
 
 def train(
@@ -594,6 +610,12 @@ def train(
 ) -> Tuple[CheckpointBundle, Path]:
     """Run the full schedule; returns (final bundle, log path).
 
+    Every training pair is loaded and checked once before anything is
+    written, and none is kept: each step loads its own batch when it comes,
+    so memory does not grow with the pair count. A pair file that breaks
+    after that check stops the run with an error naming the file; the log and
+    the checkpoints written until then stay as they are.
+
     Fresh runs write the CSV header and an initial checkpoint; resumed runs
     (``resume_from`` a checkpoint path or loaded bundle) cut the existing log
     back to the checkpoint's step counter and append from there.
@@ -601,8 +623,8 @@ def train(
     Shuffling is derived from (seed, epoch), so resuming at an epoch boundary
     sees the identical batch order the uninterrupted run would have.
     """
-    pairs = _load_train_pairs(manifest, config)  # bad data fails before any write
-    n = len(pairs)
+    ids = _check_train_pairs(manifest, config)  # bad data fails before any write
+    n = len(ids)
     smallest_batch = n % config.batch_size or config.batch_size
     side = config.image_size >> max(config.generator.depth, config.discriminator.num_layers)
     if smallest_batch * side * side < 2:
@@ -650,7 +672,8 @@ def train(
                 np.random.SeedSequence([config.seed, epoch])
             ).permutation(n)
             for s in range(steps_per_epoch):
-                batch = [pairs[i] for i in order[s * config.batch_size : (s + 1) * config.batch_size]]
+                picked = order[s * config.batch_size : (s + 1) * config.batch_size]
+                batch = [_train_pair(manifest, ids[i], config) for i in picked]
                 global_step += 1
                 row = train_step(batch, models, optims, config, epoch=epoch + 1, step=global_step)
                 log.write(row.csv_line() + "\n")
@@ -676,6 +699,11 @@ def train(
 ENHANCE_CHUNK_PIXELS = 16 * 64 * 64
 
 
+def _per_forward(height: int, width: int) -> int:
+    """Images of that size in one ``ENHANCE_CHUNK_PIXELS`` chunk; at least one."""
+    return max(1, ENHANCE_CHUNK_PIXELS // (height * width))
+
+
 def enhance_records(gen: Generator, records: Iterable[ImageRecord]) -> Iterator[ImageRecord]:
     """Run images through a generator in eval mode, several per forward.
 
@@ -688,7 +716,7 @@ def enhance_records(gen: Generator, records: Iterable[ImageRecord]) -> Iterator[
     """
     size = gen.image_size
     want = (netarch.IMAGE_CHANNELS, size, size)
-    per_forward = max(1, ENHANCE_CHUNK_PIXELS // (size * size))
+    per_forward = _per_forward(size, size)
     it = iter(records)
     while chunk := list(islice(it, per_forward)):
         for rec in chunk:
@@ -746,21 +774,44 @@ def evaluate(
 ) -> EvalResult:
     """Score generator outputs against clean targets on a manifest split.
 
-    ``checkpoint`` is anything ``enhancer`` takes, ``identity`` included.
+    ``checkpoint`` is anything ``enhancer`` takes, ``identity`` included. The
+    split is read once, one chunk at a time: as many ids as one generator
+    forward takes at the size of the split's first distorted image (see
+    ``ENHANCE_CHUNK_PIXELS``). Each chunk's distorted and clean images are
+    loaded, enhanced and scored for the model and the input baseline, and
+    only the score rows are kept, so memory does not grow with the split.
+    Depth is never read. Both reports list their rows sorted by id, as
+    ``batch_report`` does.
     """
     ids = manifest.ids(split)
     if not ids:
         raise ValueError(f"split {split!r} is empty")
+    metric_names = checked_metric_names(metric_names)
     _warn_depth_fallback(manifest, ids)
 
     enhance = enhancer(checkpoint)
-    # depth plays no part in scoring: only the two images are read
-    distorted = [load_image(manifest.path(i, "distorted")) for i in ids]
-    clean = [load_image(manifest.path(i, "clean")).pixels for i in ids]
-    enhanced = [rec.pixels for rec in enhance(distorted)]
-    model_items = list(zip(ids, clean, enhanced))
-    input_items = [(i, c, d.pixels) for i, c, d in zip(ids, clean, distorted)]
+    first = load_image(manifest.path(ids[0], "distorted"))
+    per_chunk = _per_forward(first.height, first.width)
+    model_rows, input_rows = [], []  # (id, row), chunk by chunk
+    for at in range(0, len(ids), per_chunk):
+        chunk = ids[at : at + per_chunk]
+        distorted = [load_image(manifest.path(i, "distorted")) for i in chunk]
+        clean = [load_image(manifest.path(i, "clean")).pixels for i in chunk]
+        enhanced = [rec.pixels for rec in enhance(distorted)]
+        for rows, candidates in ((model_rows, enhanced), (input_rows, [d.pixels for d in distorted])):
+            report = batch_report(zip(chunk, clean, candidates), metric_names)
+            rows += zip(report.ids, report.rows)
     return EvalResult(
-        model=batch_report(model_items, metric_names),
-        input_baseline=batch_report(input_items, metric_names),
+        model=_sorted_report(model_rows, metric_names),
+        input_baseline=_sorted_report(input_rows, metric_names),
     )
+
+
+def _sorted_report(rows: List[Tuple[str, dict]], metric_names: Tuple[str, ...]) -> MetricsReport:
+    """One report of every chunk's rows, sorted by id like one ``batch_report`` call.
+
+    Each chunk's report is already sorted, and the sort is stable, so rows
+    with equal ids keep their split order, as in one call over the split.
+    """
+    rows.sort(key=lambda r: r[0])
+    return MetricsReport(metric_names, [i for i, _ in rows], [row for _, row in rows])

@@ -733,6 +733,38 @@ class TestBadInvocation:
         assert err.startswith("error:") and err.count("\n") == 1
         assert (run / "train_log.csv").read_bytes() == log
 
+    @pytest.mark.parametrize("breakage", ["truncated", "resized"])
+    def test_pair_broken_after_the_check_pass_is_exit_1(self, dataset, config_file, tmp_path,
+                                                        capsys, monkeypatch, breakage):
+        data = tmp_path / "d"
+        shutil.copytree(dataset, data)
+        manifest = datapipe.load_manifest(data)
+        step = trainer.train_step
+        named = []
+
+        def break_a_later_pair(samples, *args, **kwargs):
+            if not named:  # the check pass is over; break a pair a later step loads
+                held = {s.clean.id for s in samples}
+                victim = next(i for i in manifest.ids("train") if i not in held)
+                path = manifest.path(victim, "distorted" if breakage == "truncated" else "clean")
+                if breakage == "truncated":
+                    path.write_bytes(path.read_bytes()[:-7])
+                else:  # the whole pair, at 8 px: it loads, but the config wants 16 px
+                    small = np.zeros((3, 8, 8), np.uint8)
+                    for role in ("clean", "distorted"):
+                        save_image(datapipe.ImageRecord(victim, small), manifest.path(victim, role))
+                    save_depth(np.ones((8, 8)), manifest.path(victim, "depth"))
+                named.append(str(path))
+            return step(samples, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_step", break_a_later_pair)
+        out = tmp_path / "r"
+        assert run_cli("train", "--config", str(config_file), "--data", str(data),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named[0]}: ") and err.count("\n") == 1
+        load_checkpoint(out / "ckpt_init.satt")
+
     @pytest.mark.parametrize(
         "threads, argv",
         [

@@ -868,6 +868,36 @@ class TestGraphConsumption:
         for key in want:
             assert got[key].tobytes() == want[key].tobytes(), key
 
+    def test_gradients_follow_the_flags_of_op_time(self):
+        # a generator-phase graph built with the discriminators frozen, swept
+        # after they thaw, still reaches the generators only
+        models = trainer.build_models(trainer.desk_config())
+        x, y, depth = phase_batch(31, 5, 64)
+        with trainer._frozen(models, trainer._DISCRIMINATORS):
+            total, _ = losses.full_generator_loss(x, y, depth, models)
+        assert all(p.tensor.requires_grad for m in models.values() for p in m.params.values())
+        dc.backward(total)
+        got = {f"{n}/{pid}": p.tensor.grad for n, m in models.items()
+               for pid, p in m.params.items() if p.tensor.grad is not None}
+        assert len(got) == sum(len(models[n].params) for n in trainer._GENERATORS) == 32
+        for m in models.values():
+            for p in m.params.values():
+                p.tensor.zero_grad()
+        phase_backward(models, "generator", x, y, depth, ref_backward)
+        for key, grad in got.items():
+            n, pid = key.split("/", 1)
+            assert grad.tobytes() == models[n].params[pid].tensor.grad.tobytes(), key
+
+    @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul, ops.concat_channels])
+    def test_a_leaf_tracked_after_the_op_gets_no_gradient(self, op):
+        late = t4(np.full((1, 1, 2, 2), 2.0))
+        early = t4(np.full((1, 1, 2, 2), 3.0), requires_grad=True)
+        out = op(late, early)
+        assert out._needs == (False, True)
+        late.requires_grad = True
+        dc.backward(ops.mean_sq(out))
+        assert late.grad is None and early.grad is not None
+
     def test_backward_frees_the_graph_as_it_sweeps(self):
         # Desk generator phase at batch 5; the graph holds 25.53 MB (traced) at
         # backward entry. With the non-consuming sweep (ref_backward's loop),

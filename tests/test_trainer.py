@@ -1,14 +1,16 @@
 """Training loop behavior: stepping, partition, determinism, checkpoints."""
 import hashlib
+import json
 import math
 import re
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sepattn import datapipe, trainer
+from sepattn import cli, datapipe, trainer
 from sepattn.datapipe import DegradeParams, generate_synthetic_dataset, load_pair
 from sepattn.diffcore import ShapeError, Tensor4, adam_step, backward
 from sepattn.losses import full_generator_loss
@@ -894,6 +896,74 @@ class TestTrainLoop:
         assert strip_ms(log_path.read_text()) == want_log
         assert (tmp_path / "ckpt_final.satt").read_bytes() == want_final
 
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_log_truncation_keeps_the_log(self, tmp_path, tiny_dataset, monkeypatch, fail_at):
+        cfg = tiny_config(epochs=2, checkpoint_every=1)
+        _, log_path = train(tiny_dataset, cfg, tmp_path)
+        before = log_path.read_bytes()
+        real_open = Path.open
+
+        class HalfWrite:
+            """A file whose one write stores half its text, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[: len(text) // 2])
+                raise OSError(28, "No space left on device")
+
+        def opener(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return HalfWrite(f) if "w" in mode else f
+
+        def no_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        if fail_at == "write":
+            monkeypatch.setattr(Path, "open", opener)
+        else:
+            monkeypatch.setattr(trainer.os, "fsync", no_fsync)
+        with pytest.raises(OSError):
+            trainer._truncate_log(log_path, 1)
+        assert log_path.read_bytes() == before
+        assert (tmp_path / "train_log.csv.tmp").is_file()  # what the crash left behind
+
+    def test_leftover_temp_log_is_never_read(self, tmp_path, tiny_dataset):
+        cfg = tiny_config(epochs=2, checkpoint_every=1)
+        _, log_path = train(tiny_dataset, cfg, tmp_path)
+        want_log = log_path.read_text()
+        leftover = tmp_path / "train_log.csv.tmp"
+        leftover.write_text(LOG_HEADER + "\n9,99,not,a,row\n")
+        train(tiny_dataset, cfg, tmp_path, resume_from=tmp_path / "ckpt_epoch_0001.satt")
+        assert strip_ms(log_path.read_text()) == strip_ms(want_log)
+        assert not leftover.exists()
+
+    def test_each_step_loads_its_own_batch(self, tmp_path, tiny_dataset, monkeypatch):
+        # one check pass over every pair, then one load per pair per epoch
+        cfg = tiny_config(epochs=2)
+        loaded = []
+        real = trainer.load_pair
+        monkeypatch.setattr(trainer, "load_pair", lambda m, i: loaded.append(i) or real(m, i))
+        step = trainer.train_step
+
+        def held_at_step(samples, *args, **kwargs):
+            held = len(loaded)
+            assert all(s.clean.id == i for s, i in zip(samples, loaded[held - len(samples):]))
+            return step(samples, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_step", held_at_step)
+        train(tiny_dataset, cfg, tmp_path)
+        ids = tiny_dataset.ids("train")
+        assert loaded[: len(ids)] == ids
+        assert sorted(loaded[len(ids):]) == sorted(ids * cfg.epochs)
+
     def test_resume_rejects_changed_config(self, tmp_path, tiny_dataset):
         train(tiny_dataset, tiny_config(epochs=1), tmp_path)
         with pytest.raises(CheckpointError, match="config hash mismatch"):
@@ -979,7 +1049,78 @@ class TestBatchedEnhance:
             trainer.enhance_record(desk_gen, gray)
 
 
+def ref_evaluate(checkpoint, manifest, split, metric_names):
+    """``evaluate`` before it streamed: the whole split loaded, enhanced and scored at once."""
+    ids = manifest.ids(split)
+    distorted = [datapipe.load_image(manifest.path(i, "distorted")) for i in ids]
+    clean = [datapipe.load_image(manifest.path(i, "clean")).pixels for i in ids]
+    enhanced = [rec.pixels for rec in trainer.enhancer(checkpoint)(distorted)]
+    return trainer.EvalResult(
+        model=batch_report(list(zip(ids, clean, enhanced)), metric_names),
+        input_baseline=batch_report(
+            [(i, c, d.pixels) for i, c, d in zip(ids, clean, distorted)], metric_names
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def shuffled_split(tmp_path_factory):
+    """A hand-written manifest listing 37 ids of a 16 px set out of id order."""
+    root = tmp_path_factory.mktemp("shuffled")
+    rendered = generate_synthetic_dataset(40, 16, DegradeParams(seed=8), seed=8, out_root=root / "set")
+    ids = sorted(rendered.files)[:37]
+    listed = [ids[k] for k in np.random.default_rng(8).permutation(len(ids))]
+    assert listed != ids
+    files = {i: {role: f"../set/{rel}" for role, rel in rendered.files[i].items()} for i in ids}
+    (root / "m").mkdir()
+    (root / "m" / "manifest.json").write_text(json.dumps({"splits": {"eval": listed}, "files": files}))
+    return root / "m"
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory, tiny_dataset):
+    out = tmp_path_factory.mktemp("tinyrun")
+    train(tiny_dataset, tiny_config(epochs=1), out)
+    return out / "ckpt_final.satt"
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("per_chunk", [None, 5], ids=["whole-split-chunk", "chunks-of-5"])
+    @pytest.mark.parametrize("model", ["checkpoint", "identity"])
+    def test_streamed_equals_all_at_once(self, shuffled_split, tiny_checkpoint, tmp_path,
+                                         capsys, monkeypatch, model, per_chunk):
+        checkpoint = str(tiny_checkpoint) if model == "checkpoint" else "identity"
+        manifest = datapipe.load_manifest(shuffled_split)
+        metric_names = ("uiqm", "psnr")
+        want = ref_evaluate(checkpoint, manifest, "eval", metric_names)
+        if per_chunk:  # 37 ids: seven chunks of 5 and a ragged one of 2
+            monkeypatch.setattr(trainer, "ENHANCE_CHUNK_PIXELS", per_chunk * 16 * 16)
+        got = evaluate(checkpoint, manifest, split="eval", metric_names=metric_names)
+        assert got.model.ids == sorted(manifest.ids("eval"))
+        assert got.to_text() == want.to_text()
+        assert got.model.to_csv() == want.model.to_csv()
+        assert got.input_baseline.to_csv() == want.input_baseline.to_csv()
+        csv = tmp_path / "report.csv"
+        assert cli.main(["eval", "--checkpoint", checkpoint, "--data", str(shuffled_split),
+                         "--split", "eval", "--metrics", "uiqm,psnr", "--csv", str(csv)]) == 0
+        assert capsys.readouterr().out == f"{want.to_text()}\nper-image CSV -> {csv}\n"
+        assert csv.read_text() == want.model.to_csv()
+
+    def test_reads_one_chunk_at_a_time(self, shuffled_split, monkeypatch):
+        manifest = datapipe.load_manifest(shuffled_split)
+        monkeypatch.setattr(trainer, "ENHANCE_CHUNK_PIXELS", 5 * 16 * 16)
+        held = []
+        real = trainer.batch_report
+
+        def scored(items, metric_names):
+            items = list(items)
+            held.append(len(items))
+            return real(items, metric_names)
+
+        monkeypatch.setattr(trainer, "batch_report", scored)
+        evaluate("identity", manifest, split="eval", metric_names=("psnr",))
+        assert held == [5, 5] * 7 + [2, 2]
+
     def test_identity_pseudo_checkpoint_equals_input_baseline(self, tiny_dataset):
         res = evaluate("identity", tiny_dataset, split="train", metric_names=("psnr", "ssim"))
         assert res.model.to_csv() == res.input_baseline.to_csv()

@@ -33,7 +33,7 @@ from .datapipe import (
 from .diffcore.gradcheck import OP_CASES, run_registry
 from .metrics import KNOWN_METRICS, checked_metric_names
 from .trainer import TrainConfig, desk_config, enhancer, evaluate, load_checkpoint, train
-from .util import typed_fields, worker_count
+from .util import check_fields, from_doc, worker_count
 
 _IMAGE_SUFFIXES = (".ppm", ".pgm", ".png")
 
@@ -76,20 +76,16 @@ def _shared_config(
     """The checked parts of a config file that train and generate-data share.
 
     The ``degrade`` section lies over ``preset``; the other keys lie over the
-    base profile, and the flags that are not None over those. A file's value is
-    type-checked even where a flag replaces it.
+    base profile, and the flags that are not None over those. A flag hides a
+    file's value from the range checks, not from the type check.
     """
     doc = _load_config_doc(path)
     params = degrade_params_from(doc.pop("degrade", {}), preset)
-    merged = (desk_config() if desk else TrainConfig()).to_dict()
-    for key, value in doc.items():
-        if key in ("generator", "discriminator") and isinstance(value, dict):
-            merged[key] = {**merged[key], **value}
-        else:
-            merged[key] = value
-    fields = typed_fields(TrainConfig, merged, "config")  # rejects unknown keys
-    fields.update((k, v) for k, v in flags.items() if v is not None)
-    return TrainConfig(**fields), params
+    flagged = {k: v for k, v in flags.items() if v is not None}
+    config = from_doc(desk_config() if desk else TrainConfig(), {**doc, **flagged}, "config")
+    hidden = {k: doc[k] for k in flagged if k in doc}
+    check_fields(argparse.Namespace(**{**vars(config), **hidden}), TrainConfig)
+    return config, params
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from .attnmask import validate_depth
 from .diffcore import Tensor4
-from .util import check_int_fields, map_units, typed_fields
+from .util import check_fields, from_doc, map_units
 
 _PNG_MAGIC = b"\x89PNG\r\n\x1a\n"
 _WSPACE = b" \t\r\n"
@@ -79,19 +79,11 @@ class ImageRecord:
 
 @dataclass(frozen=True)
 class PairedSample:
-    """One aligned (distorted, clean, depth) triple."""
+    """One aligned (distorted, clean, depth) triple of one size (see ``load_pair``)."""
 
     distorted: ImageRecord
     clean: ImageRecord
     depth: np.ndarray  # (H, W) float in [0, 1]
-
-    def __post_init__(self):
-        hw = self.clean.pixels.shape[1:]
-        if self.distorted.pixels.shape[1:] != hw or self.depth.shape != hw:
-            raise ValueError(
-                "paired sample dims disagree: distorted "
-                f"{self.distorted.pixels.shape[1:]}, clean {hw}, depth {self.depth.shape}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +237,9 @@ class DegradeParams:
 
     beta orders red >= green >= blue: red light is absorbed fastest with
     distance, which is what gives degraded frames their blue/green cast.
-    Checked when built, by ``replace`` too: a bad value, NaN and the
-    infinities included, is a ValueError naming the field.
+    Checked when built, by ``replace`` too (``util.check_fields``): a bad
+    value, NaN and the infinities included, is a ValueError naming the field.
+    ``beta`` and ``backscatter`` are stored as tuples of floats.
     """
 
     beta: Tuple[float, float, float] = (1.8, 0.9, 0.4)
@@ -256,15 +249,15 @@ class DegradeParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
         br, bg, bb = self.beta
-        if not (math.inf > br >= bg >= bb >= 0.0):
+        if not (br >= bg >= bb >= 0.0):
             raise ValueError(f"beta must satisfy red >= green >= blue >= 0, got {self.beta}")
         if any(not (0.0 <= b <= 255.0) for b in self.backscatter):
             raise ValueError(f"backscatter outside [0, 255]: {self.backscatter}")
         if not (0.0 < self.contrast_gain <= 1.0):
             raise ValueError(f"contrast_gain must be in (0, 1], got {self.contrast_gain}")
-        if not (0.0 <= self.noise_sigma < math.inf):
+        if self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -282,10 +275,10 @@ DEGRADE_PRESETS: Dict[str, DegradeParams] = {
 def degrade_params_from(doc: dict, preset: str = "default") -> DegradeParams:
     """``preset`` with a config file's ``degrade`` section laid over it.
 
-    The section's values are type-checked like the training config's, so a
-    mistyped or unknown key is a ValueError naming it, and so is a bad value.
+    An unknown key is a ValueError naming it; ``DegradeParams`` refuses a
+    mistyped or bad value as it does from Python.
     """
-    return replace(DEGRADE_PRESETS[preset], **typed_fields(DegradeParams, doc, "degrade"))
+    return from_doc(DEGRADE_PRESETS[preset], doc, "degrade")
 
 
 def degrade(clean: ImageRecord, depth: np.ndarray, params: DegradeParams) -> ImageRecord:
@@ -390,13 +383,23 @@ def load_manifest(root) -> DatasetManifest:
     )
 
 
+def check_pair_dims(manifest: DatasetManifest, id: str, role: str, dims, clean_dims) -> None:
+    """A ValueError starting with the path of ``id``'s ``role`` file if its dims are not clean's."""
+    if dims != clean_dims:
+        raise ValueError(f"{manifest.path(id, role)}: {role} image of pair {id!r} is {dims}, "
+                         f"its clean image is {clean_dims}")
+
+
 def load_pair(manifest: DatasetManifest, id: str) -> PairedSample:
     distorted = load_image(manifest.path(id, "distorted"))
     clean = load_image(manifest.path(id, "clean"))
+    dims = clean.pixels.shape[1:]
+    check_pair_dims(manifest, id, "distorted", distorted.pixels.shape[1:], dims)
     if manifest.has_depth(id):
         depth = load_depth(manifest.path(id, "depth"))
+        check_pair_dims(manifest, id, "depth", depth.shape, dims)
     else:
-        depth = np.ones(clean.pixels.shape[1:], dtype=np.float64)
+        depth = np.ones(dims, dtype=np.float64)
     return PairedSample(distorted=distorted, clean=clean, depth=depth)
 
 

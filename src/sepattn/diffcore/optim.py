@@ -30,7 +30,7 @@ class AdamState:
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if not 0 < self.lr < np.inf:  # NaN fails both comparisons
             raise ValueError(f"adam: lr must be positive, got {self.lr}")
 
 

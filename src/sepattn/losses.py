@@ -18,7 +18,6 @@ discriminator per domain scores both regions, always on channel-concatenated
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -37,6 +36,7 @@ from .diffcore import (
     shift,
     sub,
 )
+from .util import check_fields
 
 __all__ = [
     "ATTENTION_RANGE",
@@ -65,7 +65,7 @@ LOG_FIELDS = (
 class LossWeights:
     """cycle_weight scales reconstruction; fg/bg attention mix the regions.
 
-    Checked when built: a bad value, NaN and the infinities included, is a ValueError.
+    Checked when built (``util.check_fields``); a bad value is a ValueError, ints become floats.
     """
 
     cycle_weight: float = 10.0
@@ -73,7 +73,8 @@ class LossWeights:
     bg_attention: float = 3.0
 
     def __post_init__(self) -> None:
-        if not (0 <= self.cycle_weight < math.inf):
+        check_fields(self)
+        if self.cycle_weight < 0:
             raise ValueError(f"cycle_weight must be >= 0, got {self.cycle_weight}")
         lo, hi = ATTENTION_RANGE
         for name, v in (("fg_attention", self.fg_attention), ("bg_attention", self.bg_attention)):
@@ -116,10 +117,8 @@ def attention_objective(
         if not (isinstance(fg_value, Tensor4) and isinstance(bg_value, Tensor4)):
             raise TypeError("attention_objective needs both values as tensors or both as floats")
         return add(scale(fg_value, weights.fg_attention), scale(bg_value, weights.bg_attention))
-    exact = Fraction(float(weights.fg_attention)) * Fraction(float(fg_value)) + Fraction(
-        float(weights.bg_attention)
-    ) * Fraction(float(bg_value))
-    return float(exact)
+    fg, bg = Fraction(float(fg_value)), Fraction(float(bg_value))
+    return float(Fraction(weights.fg_attention) * fg + Fraction(weights.bg_attention) * bg)
 
 
 # ---------------------------------------------------------------------------

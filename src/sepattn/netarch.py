@@ -36,7 +36,7 @@ from .diffcore import (
     conv_transpose2d,
     tanh,
 )
-from .util import check_int_fields
+from .util import check_fields
 
 __all__ = [
     "ConfigError",
@@ -75,7 +75,7 @@ class GeneratorConfig:
     max_channels: int = 256
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
 
     def validate(self, image_size: int) -> None:
         if self.depth < 1:
@@ -98,7 +98,7 @@ class DiscriminatorConfig:
     max_channels: int = 512
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
+        check_fields(self)
 
     def validate(self, image_size: int) -> None:
         if self.num_layers < 1:

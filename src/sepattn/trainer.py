@@ -34,6 +34,7 @@ from .datapipe import (
     DatasetManifest,
     ImageRecord,
     PairedSample,
+    check_pair_dims,
     from_model_space,
     load_image,
     load_pair,
@@ -43,7 +44,7 @@ from .diffcore import AdamState, ShapeError, Tensor4, adam_step, backward
 from .losses import LOG_FIELDS, LossWeights, full_generator_loss, separated_discriminator_losses
 from .metrics import KNOWN_METRICS, MetricsReport, batch_report, checked_metric_names
 from .netarch import Discriminator, DiscriminatorConfig, Generator, GeneratorConfig, Model
-from .util import check_int_fields, typed_fields
+from .util import check_fields, from_doc
 
 __all__ = [
     "LOG_HEADER",
@@ -99,8 +100,8 @@ class CheckpointError(ValueError):
 class TrainConfig:
     """Full training recipe; defaults are the full-scale profile.
 
-    Checked when built, by ``replace`` and ``from_dict`` too: a bad value, NaN
-    and the infinities included, is a ValueError naming the field.
+    Checked when built, by ``replace`` and ``from_dict`` too (``util.check_fields``,
+    then ranges): a bad value is a ValueError; ``fg_attention=7`` is stored as 7.0.
     """
 
     cycle_weight: float = 10.0
@@ -120,17 +121,12 @@ class TrainConfig:
         return LossWeights(self.cycle_weight, self.fg_attention, self.bg_attention)
 
     def __post_init__(self) -> None:
-        check_int_fields(self)
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0 < self.lr < math.inf):
+        check_fields(self)
+        if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.checkpoint_every < 0:
-            raise ValueError(f"checkpoint_every must be >= 0, got {self.checkpoint_every}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("batch_size", 1), ("epochs", 0), ("checkpoint_every", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         self.weights  # builds a LossWeights, which checks itself
         self.generator.validate(self.image_size)
         self.discriminator.validate(self.image_size)
@@ -140,7 +136,7 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "TrainConfig":
-        return TrainConfig(**typed_fields(TrainConfig, doc, "config"))
+        return from_doc(TrainConfig(), doc, "config")
 
 
 def desk_config(**overrides) -> TrainConfig:
@@ -777,10 +773,10 @@ def evaluate(
     ``checkpoint`` is anything ``enhancer`` takes, ``identity`` included. The
     split is read once, one chunk at a time: as many ids as one generator
     forward takes at the size of the split's first distorted image (see
-    ``ENHANCE_CHUNK_PIXELS``). Each chunk's distorted and clean images are
-    loaded, enhanced and scored for the model and the input baseline, and
-    only the score rows are kept, so memory does not grow with the split.
-    Depth is never read. Both reports list their rows sorted by id, as
+    ``ENHANCE_CHUNK_PIXELS``). Each chunk's images are loaded, checked by
+    ``check_pair_dims``, enhanced and scored for the model and the input
+    baseline; only the score rows are kept, so memory does not grow with the
+    split. Depth is never read. Both reports list their rows sorted by id, as
     ``batch_report`` does.
     """
     ids = manifest.ids(split)
@@ -790,13 +786,16 @@ def evaluate(
     _warn_depth_fallback(manifest, ids)
 
     enhance = enhancer(checkpoint)
-    first = load_image(manifest.path(ids[0], "distorted"))
-    per_chunk = _per_forward(first.height, first.width)
+    first = [load_image(manifest.path(ids[0], "distorted"))]  # the first chunk's first image
+    per_chunk = _per_forward(first[0].height, first[0].width)
     model_rows, input_rows = [], []  # (id, row), chunk by chunk
     for at in range(0, len(ids), per_chunk):
         chunk = ids[at : at + per_chunk]
-        distorted = [load_image(manifest.path(i, "distorted")) for i in chunk]
+        distorted = first + [load_image(manifest.path(i, "distorted")) for i in chunk[len(first):]]
+        first = []
         clean = [load_image(manifest.path(i, "clean")).pixels for i in chunk]
+        for i, d, c in zip(chunk, distorted, clean):
+            check_pair_dims(manifest, i, "distorted", d.pixels.shape[1:], c.shape[1:])
         enhanced = [rec.pixels for rec in enhance(distorted)]
         for rows, candidates in ((model_rows, enhanced), (input_rows, [d.pixels for d in distorted])):
             report = batch_report(zip(chunk, clean, candidates), metric_names)

@@ -8,7 +8,7 @@ import numbers
 import os
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 THREADS_ENV = "SATT_THREADS"
 
@@ -43,68 +43,71 @@ def map_units(fn: Callable, units: Iterable) -> List:
         return list(pool.map(fn, units))
 
 
-def typed_fields(cls, doc: dict, where: str, nested: bool = False) -> dict:
-    """``doc``'s values checked against the types of dataclass ``cls``'s fields.
+def from_doc(base, doc: dict, where: str, nested: bool = False):
+    """Dataclass ``base`` with the keys of JSON object ``doc`` laid over its fields.
 
-    int fields reject bools and floats; float fields also take ints (stored as
-    float) and reject NaN and the infinities; a fixed-length tuple field such as
-    ``Tuple[float, float, float]`` takes a list of exactly that many reals; a
-    nested dataclass must be an object. Unknown keys, and any mismatch, are a
-    ValueError naming the key; an unknown key of a nested dataclass is named
-    ``section.key``.
+    Only the JSON shape is checked here: ``doc`` is an object, an unknown key is
+    a ValueError naming it (``section.key`` in a nested section), and an object
+    for a dataclass field is laid over that field. Values are ``check_fields``'s.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be an object, got {doc!r}")
-    hints = typing.get_type_hints(cls)
-    unknown = sorted(set(doc) - set(hints))
+    known = sorted(_field_rules(type(base)))
+    unknown = [f"{where}.{k}" if nested else k for k in sorted(set(doc) - set(known))]
     if unknown:
-        unknown = [f"{where}.{k}" for k in unknown] if nested else unknown
-        raise ValueError(f"unknown {where} keys {unknown}; known keys: {sorted(hints)}")
-    out = {}
-    for key, value in doc.items():
-        want = hints[key]
-        if dataclasses.is_dataclass(want):
-            value = want(**typed_fields(want, value, key, nested=True))
-        elif typing.get_origin(want) is tuple:
-            items = typing.get_args(want)
-            if not isinstance(value, (list, tuple)) or len(value) != len(items):
-                raise ValueError(
-                    f"{where} key {key!r} must be a list of {len(items)} numbers, got {value!r}"
-                )
-            value = tuple(_typed_value(t, v, where, key) for t, v in zip(items, value))
-        else:
-            value = _typed_value(want, value, where, key)
-        out[key] = value
-    return out
-
-
-def _typed_value(want: type, value, where: str, key: str):
-    if isinstance(value, bool) or not isinstance(
-        value, numbers.Integral if want is int else numbers.Real
-    ):
-        raise ValueError(f"{where} key {key!r} must be {want.__name__}, got {value!r}")
-    try:
-        value = want(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf
-    if want is float and not math.isfinite(value):
-        raise ValueError(f"{where} key {key!r} must be a finite number, got {value!r}")
-    return value
+        raise ValueError(f"unknown {where} keys {unknown}; known keys: {known}")
+    sections = {k: from_doc(getattr(base, k), v, k, nested=True) for k, v in doc.items()
+                if isinstance(v, dict) and dataclasses.is_dataclass(getattr(base, k))}
+    return dataclasses.replace(base, **{**doc, **sections})
 
 
 @functools.cache
-def _int_fields(cls) -> Tuple[str, ...]:
-    hints = typing.get_type_hints(cls)
-    return tuple(f.name for f in dataclasses.fields(cls) if hints[f.name] is int)
+def _field_rules(cls) -> Dict[str, Tuple[object, str]]:
+    """Field name -> (annotation, what the error message says the field must be)."""
+    hints, rules = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        want = hints[f.name]
+        n = len(typing.get_args(want))
+        wording = {int: "int", float: "a finite float"}.get(want, want.__name__)
+        rules[f.name] = (want, f"a list of {n} finite floats" if n else wording)
+    return rules
 
 
-def check_int_fields(obj) -> None:
-    """Refuse a bool or a non-integer, NaN included, in any int field of dataclass ``obj``.
+def check_fields(obj, cls=None) -> None:
+    """Check each field of dataclass ``obj`` by its annotation and store it normalised.
 
-    For ``__post_init__``, before range checks that NaN would pass. The
-    ValueError names the field, worded like ``typed_fields``.
+    The config types' one value checker, first in each ``__post_init__``: an int
+    field takes an integral non-bool; a float field a finite real non-bool, kept
+    as ``float`` (``7`` and NumPy scalars too); a float tuple a list or tuple of
+    its length, kept as a tuple; a dataclass field an instance of its class. Else
+    a ValueError ``<Class> field '<name>' must be ..., got ...``. ``cls``
+    (default ``type(obj)``) gives the rules for an ``obj`` that only holds values.
     """
-    for name in _int_fields(type(obj)):
+    cls = cls or type(obj)
+    for name, (want, wording) in _field_rules(cls).items():
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{type(obj).__name__} field {name!r} must be int, got {value!r}")
+        checked = _checked(want, value)
+        if checked is None:
+            raise ValueError(f"{cls.__name__} field {name!r} must be {wording}, got {value!r}")
+        if checked is not value:
+            object.__setattr__(obj, name, checked)  # frozen types too
+
+
+def _checked(want, value):
+    """``value`` as a field annotated ``want`` stores it, or None if it does not fit."""
+    if type(value) is want:  # int, float or a dataclass, as stored: the common case
+        return value if want is not float or math.isfinite(value) else None
+    if typing.get_origin(want) is tuple:
+        items = typing.get_args(want)
+        if not isinstance(value, (list, tuple)) or len(value) != len(items):
+            return None
+        out = tuple(_checked(t, v) for t, v in zip(items, value))
+        return None if None in out else out
+    kind = {int: numbers.Integral, float: numbers.Real}.get(want, ())  # () admits nothing
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return None
+    try:
+        value = want(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if want is int or math.isfinite(value) else None

@@ -765,6 +765,20 @@ class TestBadInvocation:
         assert err.startswith(f"error: {named[0]}: ") and err.count("\n") == 1
         load_checkpoint(out / "ckpt_init.satt")
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_pair_of_two_sizes_names_the_file(self, dataset, config_file, tmp_path, capsys, command):
+        data = tmp_path / "d"
+        shutil.copytree(dataset, data)
+        manifest = datapipe.load_manifest(data)
+        victim = manifest.ids("train" if command == "train" else "test")[-1]
+        path = manifest.path(victim, "distorted")
+        save_image(datapipe.ImageRecord(victim, np.zeros((3, 8, 8), np.uint8)), path)
+        argv = {"train": ["train", "--config", str(config_file), "--out", str(tmp_path / "r")],
+                "eval": ["eval", "--checkpoint", "identity"]}[command]
+        assert run_cli(*argv, "--data", str(data)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: distorted image of pair {victim!r} is (8, 8), its clean image is (16, 16)\n")
+
     @pytest.mark.parametrize(
         "threads, argv",
         [

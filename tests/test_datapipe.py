@@ -1,6 +1,7 @@
 """I/O round-trips, degradation model math, and dataset generation."""
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -304,9 +305,10 @@ class TestDegrade:
 
     @pytest.mark.parametrize("value", [math.nan, 3.0, True])
     def test_seed_must_be_int(self, value):
-        with pytest.raises(ValueError, match=f"DegradeParams field 'seed' must be int, got {value!r}"):
+        message = f"DegradeParams field 'seed' must be int, got {value!r}"
+        with pytest.raises(ValueError, match=message):
             DegradeParams(seed=value)
-        with pytest.raises(ValueError, match=f"degrade key 'seed' must be int, got {value!r}"):
+        with pytest.raises(ValueError, match=message):  # the config file's path says the same
             datapipe.degrade_params_from({"seed": value})
 
     def test_dim_mismatch(self):
@@ -418,6 +420,18 @@ class TestSyntheticDataset:
         man = generate_synthetic_dataset(3, 16, DegradeParams(), seed=1, out_root=tmp_path)
         (tmp_path / "clean" / "00001.ppm").unlink()
         with pytest.raises(FileNotFoundError, match="00001"):
+            load_pair(man, "00001")
+
+    @pytest.mark.parametrize("role", ["distorted", "depth"])
+    def test_a_file_of_another_size_names_the_id_and_path(self, tmp_path, role):
+        man = generate_synthetic_dataset(3, 16, DegradeParams(), seed=1, out_root=tmp_path)
+        path = man.path("00001", role)
+        if role == "depth":
+            save_depth(np.ones((8, 8)), path)
+        else:
+            save_image(ImageRecord("00001", np.zeros((3, 8, 8), np.uint8)), path)
+        message = f"{path}: {role} image of pair '00001' is (8, 8), its clean image is (16, 16)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_pair(man, "00001")
 
     @pytest.mark.parametrize("depth_missing", [True, False])

@@ -4,6 +4,7 @@ Reference values come from independent scalar-loop implementations written
 here in the test module (double precision, no shared code with the package),
 or from hand arithmetic for the small worked examples.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -957,6 +958,11 @@ class TestAdam:
             step = prev - float(p.tensor.data.reshape(-1)[0])
             prev = float(p.tensor.data.reshape(-1)[0])
         assert step == pytest.approx(2e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-4, math.nan, math.inf])
+    def test_lr_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match=f"adam: lr must be positive, got {lr}"):
+            dc.AdamState(lr=lr)
 
     def test_missing_grad_names_parameter(self):
         p = self._param(1.0, pid="gen/w")

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -155,14 +156,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             build(**{field: value})
 
-    def test_int_fields_take_numpy_ints(self):
+    def test_int_fields_take_numpy_ints(self, tmp_path):
         assert TrainConfig(epochs=np.int64(3), seed=np.int32(1)).epochs == 3
+        # NumPy scalars are stored as Python numbers, so the config hashes and saves
+        cfg = tiny_config(
+            seed=np.int64(1), batch_size=np.int32(2), lr=np.float32(2e-4),
+            cycle_weight=np.int64(10), fg_attention=np.float64(7), bg_attention=np.float16(3),
+            generator=GeneratorConfig(depth=np.int8(2), base_channels=np.uint16(4), max_channels=8),
+        )
+        doc = cfg.to_dict()
+        values = [v for k, v in doc.items() if k not in ("generator", "discriminator")]
+        assert {type(v) for v in values + list(doc["generator"].values())} == {int, float}
+        assert (type(cfg.seed), type(cfg.lr), type(cfg.cycle_weight)) == (int, float, float)
+        models = build_models(cfg)
+        save_checkpoint(bundle_from_live(models, build_optimizers(models, cfg.lr), cfg, 0, 0),
+                        tmp_path / "c.satt")
+        assert load_checkpoint(tmp_path / "c.satt").hash == config_hash(cfg)
 
     @pytest.mark.parametrize("key, value", [("epochs", 2.5), ("batch_size", True), ("seed", 1.0)])
-    def test_json_int_fields_keep_their_message(self, key, value):
+    def test_json_and_constructor_share_one_message(self, key, value):
         doc = {**tiny_config().to_dict(), key: value}
-        with pytest.raises(ValueError, match=re.escape(f"config key {key!r} must be int, got {value!r}")):
+        message = re.escape(f"TrainConfig field {key!r} must be int, got {value!r}")
+        with pytest.raises(ValueError, match=message):
             TrainConfig.from_dict(doc)
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**{key: value})
 
     def test_dict_round_trip(self):
         cfg = tiny_config()
@@ -885,6 +903,20 @@ class TestTrainLoop:
             (tmp_path / "parts" / "train_log.csv").read_text()
         )
 
+    def test_api_config_with_the_papers_integer_weights_resumes(self, tmp_path, tiny_dataset):
+        # mu = 7, alpha = 3, lambda = 10 written as ints: the same run as the float defaults
+        ints = dict(fg_attention=7, bg_attention=3, cycle_weight=10)
+        train(tiny_dataset, tiny_config(epochs=2), tmp_path / "full")
+        train(tiny_dataset, tiny_config(epochs=1, **ints), tmp_path / "parts")
+        train(tiny_dataset, tiny_config(epochs=2, **ints), tmp_path / "parts",
+              resume_from=tmp_path / "parts" / "ckpt_final.satt")
+        for run in ("full", "parts"):
+            assert type(load_checkpoint(tmp_path / run / "ckpt_final.satt").config["fg_attention"]) is float
+        assert (tmp_path / "full" / "ckpt_final.satt").read_bytes() == (
+            tmp_path / "parts" / "ckpt_final.satt").read_bytes()
+        assert strip_ms((tmp_path / "full" / "train_log.csv").read_text()) == strip_ms(
+            (tmp_path / "parts" / "train_log.csv").read_text())
+
     def test_resume_from_older_checkpoint_rewrites_later_rows(self, tmp_path, tiny_dataset):
         cfg = tiny_config(epochs=2, checkpoint_every=1)
         _, log_path = train(tiny_dataset, cfg, tmp_path)
@@ -1120,6 +1152,31 @@ class TestEvaluate:
         monkeypatch.setattr(trainer, "batch_report", scored)
         evaluate("identity", manifest, split="eval", metric_names=("psnr",))
         assert held == [5, 5] * 7 + [2, 2]
+
+    def test_reads_each_image_once(self, shuffled_split, monkeypatch):
+        manifest = datapipe.load_manifest(shuffled_split)
+        monkeypatch.setattr(trainer, "ENHANCE_CHUNK_PIXELS", 5 * 16 * 16)
+        read, real = [], trainer.load_image
+        monkeypatch.setattr(trainer, "load_image", lambda path: read.append(path) or real(path))
+        evaluate("identity", manifest, split="eval", metric_names=("psnr",))
+        ids = manifest.ids("eval")
+        assert sorted(read) == sorted(manifest.path(i, r) for i in ids for r in ("distorted", "clean"))
+
+    @pytest.mark.parametrize("model", ["checkpoint", "identity"])
+    def test_a_pair_of_two_sizes_is_named_before_scoring(self, tiny_dataset, tiny_checkpoint,
+                                                         tmp_path, monkeypatch, model):
+        root = tmp_path / "d"
+        shutil.copytree(tiny_dataset.root, root)
+        manifest = datapipe.load_manifest(root)
+        victim = manifest.ids("train")[-1]
+        path = manifest.path(victim, "distorted")
+        datapipe.save_image(datapipe.ImageRecord(victim, np.zeros((3, 8, 8), np.uint8)), path)
+        scored = []
+        monkeypatch.setattr(trainer, "batch_report", lambda *a: scored.append(a))
+        message = f"{path}: distorted image of pair {victim!r} is (8, 8), its clean image is (16, 16)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            evaluate(str(tiny_checkpoint) if model == "checkpoint" else "identity", manifest, "train")
+        assert scored == []
 
     def test_identity_pseudo_checkpoint_equals_input_baseline(self, tiny_dataset):
         res = evaluate("identity", tiny_dataset, split="train", metric_names=("psnr", "ssim"))
